@@ -2,12 +2,12 @@
 
 from .autodiff import Tensor, backward, no_grad, set_debug_checks, zero_grad
 from .errors import ConfigError, FormatError, TrainingAbort
-from .model import HMAN, ModelConfig, batch_sequence_loss, sequence_loss
+from .model import HMAN, ModelConfig, batch_sequence_loss
 
 __all__ = [
     "Tensor", "backward", "no_grad", "set_debug_checks", "zero_grad",
     "ConfigError", "FormatError", "TrainingAbort",
-    "HMAN", "ModelConfig", "batch_sequence_loss", "sequence_loss",
+    "HMAN", "ModelConfig", "batch_sequence_loss",
 ]
 
 __version__ = "0.1.0"

@@ -66,7 +66,7 @@ def soft_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams) -> A
 
 def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams,
                        tau, rng: np.random.Generator | None = None,
-                       noise: st.GumbelNoise | None = None,
+                       noise: Tensor | None = None,
                        deterministic: bool = False,
                        soft_sample: bool = False) -> AttentionResult:
     """One-hot location sample through Gumbel-softmax with straight-through.
@@ -85,7 +85,7 @@ def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParam
     if noise is None:
         if rng is None:
             raise ad.ContractError("gumbel_hard_attend needs noise or an rng")
-        noise = st.sample_gumbel(scores.shape, rng, "attention")
+        noise = st.sample_gumbel(scores.shape, rng)
     soft = st.gumbel_softmax(scores, noise, tau)
     idx = np.argmax(soft.data, axis=-1)
     weights = soft if soft_sample else st.hard_onehot(soft)

@@ -48,10 +48,6 @@ def set_debug_checks(enabled: bool) -> None:
     _debug_checks = bool(enabled)
 
 
-def debug_checks_enabled() -> bool:
-    return _debug_checks
-
-
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (evaluation paths)."""
@@ -130,10 +126,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """A constant view of the same data, cut off from the graph."""
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
@@ -169,9 +161,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _ensure_tensor(value) -> Tensor:
@@ -380,17 +369,6 @@ def clipped_log(a, floor: float = 1e-12) -> Tensor:
 
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g * mask / clipped)
-
-    return Tensor._from_op(data, (a,), backward_fn)
-
-
-def relu(a) -> Tensor:
-    a = _ensure_tensor(a)
-    mask = a.data > 0.0
-    data = np.where(mask, a.data, 0.0)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * mask)
 
     return Tensor._from_op(data, (a,), backward_fn)
 

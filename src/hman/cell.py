@@ -75,13 +75,12 @@ class LayerState:
 class BoundaryNoise:
     """The pair of independent Gumbel draws a boundary detector consumes."""
 
-    a: st.GumbelNoise
-    b: st.GumbelNoise
+    a: Tensor
+    b: Tensor
 
     @classmethod
-    def sample(cls, shape, rng: np.random.Generator, lineage: str = "") -> "BoundaryNoise":
-        return cls(st.sample_gumbel(shape, rng, lineage + "/a"),
-                   st.sample_gumbel(shape, rng, lineage + "/b"))
+    def sample(cls, shape, rng: np.random.Generator) -> "BoundaryNoise":
+        return cls(st.sample_gumbel(shape, rng), st.sample_gumbel(shape, rng))
 
 
 def init_layer_params(hidden: int, below_dim: int, above_dim: int | None,

@@ -276,12 +276,12 @@ def cmd_viz(args) -> int:
 
     # one stream: boundary noise (eval_z=sampled only), then the chance baseline
     rng = np.random.default_rng(opts["seed"])
-    steps = model.forward_sequence(sample.features, rng=rng, train=False)
-    weights = np.stack([s.attention.weights.data[0] for s in steps])
-    z = np.stack([np.array(s.z) for s in steps])
+    out = model.forward_batch(sample.features[None], rng=rng, train=False)
+    weights = np.stack([a.weights.data[0] for a in out.attention])
+    z = out.z_history[:, :, 0]
     out_dir = Path(opts["out"])
     hv.export_clip(out_dir, weights, z, model.config.grid_side)
-    print(f"wrote {len(steps)} attention frames and {z.shape[1]} boundary strips to {out_dir}")
+    print(f"wrote {len(weights)} attention frames and {z.shape[1]} boundary strips to {out_dir}")
 
     if sample.boundaries is not None:
         lines = ["layer,f1,chance_f1,rate"]

@@ -10,6 +10,7 @@ itself is covered by the straight-through contract tests instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,17 +46,22 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def check_gradients(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
-                    h: float = FD_STEP) -> float:
+                    h: float = FD_STEP,
+                    analytic_hook: Callable[[list[np.ndarray]], None] | None = None) -> float:
     """Worst relative error across all params of ``build_loss``'s gradient.
 
     ``build_loss`` must be deterministic given the current parameter
     values (freeze any noise before calling).  It is re-invoked for
     every finite-difference probe, so keep the instance small.
+    ``analytic_hook`` receives the analytic gradients (one array per
+    param) before they are compared, and may modify them in place.
     """
     ad.zero_grad(params)
     loss = build_loss()
     ad.backward(loss)
     analytic = [np.array(p.grad) if p.grad is not None else np.zeros(p.shape) for p in params]
+    if analytic_hook is not None:
+        analytic_hook(analytic)
 
     def value() -> float:
         return build_loss().item()
@@ -94,32 +100,18 @@ def registered_names() -> list[str]:
 
 
 def run_all(seed: int = 0, tolerance: float = FD_TOLERANCE,
-            fault_hook: Callable[[str, list[Tensor]], None] | None = None) -> list[CheckResult]:
+            fault_hook: Callable[[str, list[np.ndarray]], None] | None = None) -> list[CheckResult]:
     """Run every registered check with a seed-derived fixed-noise stream.
 
-    ``fault_hook`` is a test handle: it may perturb parameters between
-    the analytic and numeric passes to prove the harness catches bad
-    gradients (it receives the check name and parameter list).
+    ``fault_hook`` is a test handle: it may perturb the analytic
+    gradients before they are compared, to prove the harness catches
+    bad gradients (it receives the check name and the gradient list).
     """
     results = []
     for name, builder in _REGISTRY:
-        rng = np.random.default_rng(seed)
-        build_loss, params = builder(rng)
-        ad.zero_grad(params)
-        loss = build_loss()
-        ad.backward(loss)
-        analytic = [np.array(p.grad) if p.grad is not None else np.zeros(p.shape) for p in params]
-        if fault_hook is not None:
-            fault_hook(name, analytic)
-
-        def value() -> float:
-            return build_loss().item()
-
-        worst = 0.0
-        for p, a in zip(params, analytic):
-            n = numeric_gradient(value, p.data)
-            worst = max(worst, relative_error(a, n))
-        ad.zero_grad(params)
+        build_loss, params = builder(np.random.default_rng(seed))
+        hook = None if fault_hook is None else functools.partial(fault_hook, name)
+        worst = check_gradients(build_loss, params, analytic_hook=hook)
         results.append(CheckResult(name, worst, tolerance))
     return results
 
@@ -169,7 +161,7 @@ def _check_gumbel_softmax(rng):
     from . import stochastic as st
 
     logits = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-    noise = st.sample_gumbel((2, 6), rng, "gradcheck")
+    noise = st.sample_gumbel((2, 6), rng)
     v = Tensor(rng.normal(size=(2, 6)))
 
     def build():
@@ -183,8 +175,8 @@ def _check_gumbel_sigmoid(rng):
     from . import stochastic as st
 
     pre = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    ga = st.sample_gumbel((3, 2), rng, "gradcheck")
-    gb = st.sample_gumbel((3, 2), rng, "gradcheck")
+    ga = st.sample_gumbel((3, 2), rng)
+    gb = st.sample_gumbel((3, 2), rng)
 
     def build():
         y = st.gumbel_sigmoid(pre, ga, gb, 0.3)
@@ -251,7 +243,7 @@ def _cell_branch_check(rng, z_prev: float, below_z: float):
     )
     below_h = Tensor(rng.normal(size=(1, below)), requires_grad=True)
     above_h = Tensor(rng.normal(size=(1, hidden)), requires_grad=True)
-    noise = hc.BoundaryNoise.sample((1, 1), rng, "gradcheck")
+    noise = hc.BoundaryNoise.sample((1, 1), rng)
 
     def build():
         state = hc.step(prev, below_h, Tensor([[below_z]]), above_h, params,
@@ -276,8 +268,8 @@ def _check_cell_chain(rng):
     below1 = Tensor(rng.normal(size=(1, below)), requires_grad=True)
     below2 = Tensor(rng.normal(size=(1, below)), requires_grad=True)
     above = Tensor(rng.normal(size=(1, hidden)))
-    n1 = hc.BoundaryNoise.sample((1, 1), rng, "gradcheck")
-    n2 = hc.BoundaryNoise.sample((1, 1), rng, "gradcheck")
+    n1 = hc.BoundaryNoise.sample((1, 1), rng)
+    n2 = hc.BoundaryNoise.sample((1, 1), rng)
 
     def build():
         s1 = hc.step(prev, below1, Tensor([[1.0]]), above, params, noise=n1, soft_boundaries=True)

@@ -41,7 +41,7 @@ class ModelConfig:
     """
 
     layers: int = 3
-    hidden: int | tuple[int, ...] = 128   # one size, or one per layer
+    hidden: int = 128   # units in every layer
     grid_side: int = 4
     feat_dim: int = 16
     classes: int = 8
@@ -52,22 +52,14 @@ class ModelConfig:
     boundary_tau: float = stu.BOUNDARY_TAU
     force_z: float | None = None
 
-    @property
-    def hidden_sizes(self) -> tuple[int, ...]:
-        if isinstance(self.hidden, int):
-            return (self.hidden,) * self.layers
-        return tuple(self.hidden)
-
     def validate(self) -> None:
         if self.layers < 2 and self.force_z is None:
             raise ConfigError("the hierarchy needs at least 2 layers (or a forced boundary bit)")
         if self.layers < 1:
             raise ConfigError("layers must be positive")
-        if not isinstance(self.hidden, int) and len(self.hidden_sizes) != self.layers:
-            raise ConfigError(
-                f"{len(self.hidden_sizes)} hidden sizes given for {self.layers} layers")
-        if min(self.hidden_sizes) < 1 or min(self.grid_side, self.feat_dim) < 1 \
-                or self.classes < 2:
+        if not isinstance(self.hidden, (int, np.integer)):
+            raise ConfigError(f"hidden must be one int size for every layer, got {self.hidden!r}")
+        if min(self.hidden, self.grid_side, self.feat_dim) < 1 or self.classes < 2:
             raise ConfigError("hidden/grid_side/feat_dim must be positive and classes >= 2")
         if self.attention not in ATTENTION_MODES:
             raise ConfigError(f"unknown attention mode {self.attention!r}; pick one of {ATTENTION_MODES}")
@@ -84,16 +76,6 @@ class ModelConfig:
 
 
 @dataclass
-class StepOutput:
-    """One time step of a single-clip forward pass."""
-
-    probs: Tensor                      # (C,), sums to 1
-    attention: at.AttentionResult
-    z: tuple[float, ...]               # per-layer boundary bit
-    hidden: list[np.ndarray]           # per-layer hidden state snapshot
-
-
-@dataclass
 class BatchOutput:
     """Everything the trainer needs from one batched forward pass."""
 
@@ -101,10 +83,8 @@ class BatchOutput:
     attention: list[at.AttentionResult]    # per t
     z_history: np.ndarray                  # (T, L, B)
     update_mask: np.ndarray                # (T, L, B); 1 where the layer recomputed state
-    h_history: list[np.ndarray]            # per layer: (T, B, hidden_l) value snapshots
     log_probs: list[Tensor] | None         # per t: (B, 1), reinforce mode only
     taus: list[np.ndarray] | None          # per t: (B,), adaptive mode only
-    final_states: list[hc.LayerState] = field(default_factory=list)
     z_logits: list[list[Tensor]] = field(default_factory=list)  # per layer, per t: (B, 1)
 
     def mean_probs(self) -> np.ndarray:
@@ -126,27 +106,25 @@ class HMAN:
 
     def _build_params(self, rng: np.random.Generator) -> None:
         cfg = self.config
-        sizes = cfg.hidden_sizes
 
         def uniform(rows, cols, scale_dim):
             bound = 1.0 / np.sqrt(scale_dim)
             return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
 
-        self.params["attn.w_loc"] = uniform(cfg.locations, sizes[0], sizes[0])
+        self.params["attn.w_loc"] = uniform(cfg.locations, cfg.hidden, cfg.hidden)
         if cfg.attention == "gumbel-adaptive":
-            self.params["attn.w_temp"] = uniform(sizes[0], 1, sizes[0])
+            self.params["attn.w_temp"] = uniform(cfg.hidden, 1, cfg.hidden)
             self.params["attn.b_temp"] = Tensor(np.zeros((1, 1)), requires_grad=True)
         for layer in range(1, cfg.layers + 1):
-            below = cfg.feat_dim if layer == 1 else sizes[layer - 2]
-            above = sizes[layer] if layer < cfg.layers else None
-            lp = hc.init_layer_params(sizes[layer - 1], below_dim=below, above_dim=above,
-                                      rng=rng)
+            below = cfg.feat_dim if layer == 1 else cfg.hidden
+            above = cfg.hidden if layer < cfg.layers else None
+            lp = hc.init_layer_params(cfg.hidden, below_dim=below, above_dim=above, rng=rng)
             self.params[f"layer{layer}.u_rec"] = lp.u_rec
             if lp.u_top is not None:
                 self.params[f"layer{layer}.u_top"] = lp.u_top
             self.params[f"layer{layer}.w_bot"] = lp.w_bot
             self.params[f"layer{layer}.bias"] = lp.bias
-        total = sum(sizes)
+        total = cfg.hidden * cfg.layers
         self.params["head.w"] = uniform(total, cfg.classes, total)
         self.params["head.b"] = Tensor(np.zeros((1, cfg.classes)), requires_grad=True)
         for name, p in self.params.items():
@@ -220,7 +198,6 @@ class HMAN:
         out = BatchOutput(step_probs=[], attention=[],
                           z_history=np.zeros((steps, cfg.layers, batch)),
                           update_mask=np.zeros((steps, cfg.layers, batch)),
-                          h_history=np.zeros((steps, cfg.layers, batch, cfg.hidden)),
                           log_probs=[] if reinforce else None,
                           taus=[] if adaptive and train else None,
                           z_logits=[[] for _ in range(cfg.layers)])
@@ -248,7 +225,6 @@ class HMAN:
                                 force_z=cfg.force_z)
                 out.z_history[t, idx] = state.z.data[:, 0]
                 out.update_mask[t, idx] = 1.0 - (1.0 - prev.z.data[:, 0]) * (1.0 - below_z.data[:, 0])
-                out.h_history[t, idx] = state.h.data
                 out.z_logits[idx].append(state.z_logit)
                 new_states.append(state)
                 below_h, below_z = state.h, state.z
@@ -256,26 +232,7 @@ class HMAN:
             stacked = ad.concat([s.h for s in states], axis=-1)
             probs = ad.softmax(stacked @ head_w + head_b, axis=-1)
             out.step_probs.append(probs)
-        out.final_states = states
         return out
-
-    def forward_sequence(self, x: np.ndarray, rng: np.random.Generator | None = None,
-                         train: bool = False) -> list[StepOutput]:
-        """Single-clip forward; ``x`` is (T, K*K, D)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3:
-            raise ConfigError(f"forward_sequence expects (T, K*K, D), got {x.shape}")
-        batch_out = self.forward_batch(x[None], rng=rng, train=train)
-        steps = []
-        for t, probs in enumerate(batch_out.step_probs):
-            steps.append(StepOutput(
-                probs=ad.reshape(probs, (self.config.classes,)),
-                attention=batch_out.attention[t],
-                z=tuple(float(v) for v in batch_out.z_history[t, :, 0]),
-                hidden=[np.array(batch_out.h_history[t, layer, 0])
-                        for layer in range(self.config.layers)],
-            ))
-        return steps
 
     def predict_video(self, blocks: list[np.ndarray],
                       rng: np.random.Generator | None = None) -> tuple[int, np.ndarray]:
@@ -312,12 +269,11 @@ class HMAN:
         return load_checkpoint(path)[0]
 
 
-def batch_sequence_loss(step_probs: list[Tensor], labels: np.ndarray) -> Tensor:
-    """Batch mean of the per-sequence summed cross entropy.
+def sequence_log_likelihood(step_probs: list[Tensor], labels: np.ndarray) -> Tensor:
+    """Per-sequence summed log p(label): the (B, 1) episode log-likelihood.
 
     ``step_probs`` holds (B, C) probability rows per step; ``labels``
-    is (B,) class ids.  Per sequence the loss sums -log p(label) over
-    steps, with the log floored at 1e-12.
+    is (B,) class ids.  The log is floored at 1e-12.
     """
     labels = np.asarray(labels, dtype=np.intp)
     classes = step_probs[0].shape[-1]
@@ -327,7 +283,12 @@ def batch_sequence_loss(step_probs: list[Tensor], labels: np.ndarray) -> Tensor:
     for probs in step_probs:
         term = ad.clipped_log(ad.take_rows(probs, labels), at.LOG_FLOOR)
         total = term if total is None else total + term
-    return -ad.mean(total)
+    return total
+
+
+def batch_sequence_loss(step_probs: list[Tensor], labels: np.ndarray) -> Tensor:
+    """Batch mean of the per-sequence summed cross entropy."""
+    return -ad.mean(sequence_log_likelihood(step_probs, labels))
 
 
 def boundary_targets(x: np.ndarray) -> np.ndarray:
@@ -368,22 +329,6 @@ def boundary_loss(z_logits: list[list[Tensor]], targets: np.ndarray) -> Tensor:
         term = ad.sum_(w * ad.softplus(a) - wy * a)
         total = term if total is None else total + term
     return total / targets.shape[0]
-
-
-def sequence_loss(outputs: list[StepOutput], label: int) -> Tensor:
-    """Summed per-step cross entropy of one clip against a single label."""
-    if not outputs:
-        raise ContractError("sequence_loss needs at least one step output")
-    classes = outputs[0].probs.shape[-1]
-    if not 0 <= int(label) < classes:
-        raise ContractError(f"label {label} outside [0, {classes})")
-    idx = np.array([int(label)])
-    total = None
-    for step in outputs:
-        row = ad.reshape(step.probs, (1, classes))
-        term = ad.clipped_log(ad.take_rows(row, idx), at.LOG_FLOOR)
-        total = term if total is None else total + term
-    return ad.reshape(-total, ())
 
 
 # -- checkpoint format -------------------------------------------------------

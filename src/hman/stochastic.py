@@ -26,14 +26,6 @@ class ParameterError(ValueError):
 
 
 @dataclass
-class GumbelNoise:
-    """A block of i.i.d. Gumbel(0,1) samples plus its stream lineage."""
-
-    values: Tensor
-    lineage: str = ""
-
-
-@dataclass
 class Temperature:
     """Relaxation sharpness; constant scalar or adaptively computed tensor.
 
@@ -42,25 +34,16 @@ class Temperature:
     """
 
     value: float | Tensor
-    mode: str = "constant"  # "constant" | "adaptive"
 
     def __post_init__(self):
-        if self.mode == "constant":
-            v = float(self.value if not isinstance(self.value, Tensor) else self.value.item())
-            if v <= 0.0:
-                raise ParameterError(f"temperature must be positive, got {v}")
+        if not isinstance(self.value, Tensor) and float(self.value) <= 0.0:
+            raise ParameterError(f"temperature must be positive, got {self.value}")
 
 
-def sample_gumbel(shape, rng: np.random.Generator, lineage: str = "") -> GumbelNoise:
+def sample_gumbel(shape, rng: np.random.Generator) -> Tensor:
     """Draw Gumbel(0,1) samples as -log(-log(u)), u clamped to [eps, 1-eps]."""
     u = np.clip(rng.random(shape), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
-    return GumbelNoise(Tensor(-np.log(-np.log(u))), lineage)
-
-
-def _noise_tensor(noise) -> Tensor:
-    if isinstance(noise, GumbelNoise):
-        return noise.values
-    return ad._ensure_tensor(noise)
+    return Tensor(-np.log(-np.log(u)))
 
 
 def _tau_operand(tau) -> float | Tensor:
@@ -83,7 +66,7 @@ def gumbel_softmax(logits: Tensor, noise, tau) -> Tensor:
     Differentiable in ``logits`` (and in ``tau`` when it is a tensor)
     for fixed noise; rows sum to 1.
     """
-    g = _noise_tensor(noise)
+    g = ad._ensure_tensor(noise)
     t = _tau_operand(tau)
     return ad.softmax((logits + g) / t, axis=-1)
 
@@ -93,8 +76,8 @@ def gumbel_sigmoid(pre_activation: Tensor, noise_a, noise_b, tau) -> Tensor:
 
     ``noise_a`` and ``noise_b`` must be independent Gumbel(0,1) draws.
     """
-    ga = _noise_tensor(noise_a)
-    gb = _noise_tensor(noise_b)
+    ga = ad._ensure_tensor(noise_a)
+    gb = ad._ensure_tensor(noise_b)
     t = _tau_operand(tau)
     return ad.sigmoid((pre_activation + ga - gb) / t)
 
@@ -139,4 +122,4 @@ def adaptive_tau(h1: Tensor, w_temp: Tensor, b_temp: Tensor) -> Temperature:
     a (B, 1) tensor, differentiable in all inputs.
     """
     pre = ad.matmul(h1, w_temp) + b_temp
-    return Temperature(1.0 / (ad.softplus(pre) + 1.0), mode="adaptive")
+    return Temperature(1.0 / (ad.softplus(pre) + 1.0))

@@ -37,7 +37,6 @@ class TrainConfig:
     clip_norm: float = 5.0
     reinforce_lambda: float = 1.0
     frame_sampling: str = "window"   # "window": contiguous; "random": sorted subset
-    bucket_by_length: bool = True    # batch clips of equal target length together
     epochs: int = 30
     seed: int = 0
 
@@ -161,16 +160,13 @@ class Trainer:
 
     # -- one epoch ---------------------------------------------------------
 
-    def _batches(self, count: int, targets: list[int]) -> list[np.ndarray]:
+    def _batches(self, targets: list[int]) -> list[np.ndarray]:
         """Mini-batch index groups for one epoch, shuffled by the run stream.
 
-        With length bucketing, clips whose target window lengths match are
-        batched together so no clip is truncated to a shorter batch mate.
+        Clips whose target window lengths match are batched together so
+        no clip is truncated to a shorter batch mate.
         """
         size = self.config.batch_size
-        if not self.config.bucket_by_length:
-            order = self.rng.permutation(count)
-            return [order[i:i + size] for i in range(0, count, size)]
         buckets: dict[int, list[int]] = {}
         for i, t in enumerate(targets):
             buckets.setdefault(t, []).append(i)
@@ -197,7 +193,7 @@ class Trainer:
         lr = learning_rate(cfg, self.iteration + 1)
         targets = [min(cfg.window, s.features.shape[0]) for s in train_samples]
 
-        for batch_idx in self._batches(len(train_samples), targets):
+        for batch_idx in self._batches(targets):
             chunk = [train_samples[i] for i in batch_idx]
             self.iteration += 1
             lr = learning_rate(cfg, self.iteration)
@@ -209,11 +205,13 @@ class Trainer:
             self.model.zero_grad()
             out = self.model.forward_batch(x, rng=self.rng, train=True)
             if reinforce:
-                ll = self._log_likelihood(out.step_probs, labels)
+                ll = hm.sequence_log_likelihood(out.step_probs, labels)
                 loss = at.reinforce_surrogate(out.log_probs, ll, self.baseline.value,
                                               cfg.reinforce_lambda)
+                batch_ce = -float(ll.data.mean())
             else:
                 loss = hm.batch_sequence_loss(out.step_probs, labels)
+                batch_ce = loss.item()
             if self.model.config.force_z is None:  # learned boundaries only
                 loss = loss + hm.boundary_loss(out.z_logits, hm.boundary_targets(x))
             ad.backward(loss)
@@ -222,9 +220,8 @@ class Trainer:
             grads, _ = clip_global_norm(grads, cfg.clip_norm)
             adam_step(self.model.params, grads, self.adam, lr, cfg)
             if reinforce:
-                self.baseline.update(float(ll.data.mean()))
+                self.baseline.update(-batch_ce)  # the batch's mean log-likelihood
 
-            batch_ce = self._cross_entropy_value(out, labels)
             loss_sum += batch_ce * len(chunk)
             seen += len(chunk)
             correct += int(np.sum(np.argmax(out.mean_probs(), axis=-1) == labels))
@@ -242,24 +239,6 @@ class Trainer:
             tau_mean=float(np.mean(taus)) if taus else None,
             tau_max=max(taus) if taus else None,
         )
-
-    @staticmethod
-    def _log_likelihood(step_probs: list[Tensor], labels: np.ndarray) -> Tensor:
-        """Per-sample summed log p(label): the (B, 1) episode log-likelihood."""
-        total = None
-        for probs in step_probs:
-            term = ad.clipped_log(ad.take_rows(probs, labels), at.LOG_FLOOR)
-            total = term if total is None else total + term
-        return total
-
-    @staticmethod
-    def _cross_entropy_value(out: hm.BatchOutput, labels: np.ndarray) -> float:
-        """Reported loss: mean per-sequence summed cross entropy (plain value)."""
-        rows = np.arange(labels.shape[0])
-        total = 0.0
-        for probs in out.step_probs:
-            total -= np.log(np.maximum(probs.data[rows, labels], at.LOG_FLOOR)).sum()
-        return float(total / labels.shape[0])
 
     # -- persistence ---------------------------------------------------------
 

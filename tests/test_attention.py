@@ -63,7 +63,7 @@ class TestGumbelHardAttend:
     def test_zero_noise_selects_argmax(self):
         feats = np.arange(K2 * D, dtype=float).reshape(K2, D)
         params, h, x = scored_instance([5.0, 0.0, 0.0, 0.0], feats)
-        noise = st.GumbelNoise(Tensor(np.zeros((1, K2))), "zero")
+        noise = Tensor(np.zeros((1, K2)))
         res = at.gumbel_hard_attend(h, x, params, st.Temperature(0.3), noise=noise)
         assert res.selected_index[0] == 0
         npt.assert_array_equal(res.weights.data, [[1.0, 0.0, 0.0, 0.0]])

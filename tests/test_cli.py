@@ -8,6 +8,7 @@ import pytest
 
 from hman import cli
 from hman import data as hd
+from hman import gradcheck as gc
 
 
 def run_cli(*argv):
@@ -207,8 +208,13 @@ class TestGradCheck:
         assert capsys.readouterr().out == first
 
     def test_injected_fault_is_caught(self, capsys):
+        # the fault hook reaches each check by name and corrupts only the first
         assert run_cli("grad-check", "--inject-fault", 1) == 2
-        assert "FAIL" in capsys.readouterr().out
+        *checks, summary = capsys.readouterr().out.splitlines()
+        names = gc.registered_names()
+        assert [line.split()[0] for line in checks] == names
+        assert [line.split()[-1] for line in checks] == ["FAIL"] + ["PASS"] * (len(names) - 1)
+        assert summary.startswith(f"{len(names) - 1}/{len(names)} checks passed")
 
 
 class TestHardAttentionViz:

@@ -88,16 +88,17 @@ class TestForward:
         with pytest.raises(ContractError, match="rng"):
             model.forward_batch(np.zeros((1, 2, K2, FEAT)), train=True)
 
-    def test_forward_sequence_exposes_steps(self):
+    def test_single_clip_forward_exposes_steps(self):
+        # the per-step view that ``hman viz`` reads from a one-clip batch
         rng = np.random.default_rng(7)
         model = tiny_model(5, layers=2)
-        steps = model.forward_sequence(rng.normal(size=(4, K2, FEAT)), train=False)
-        assert len(steps) == 4
-        for s in steps:
-            assert s.probs.shape == (CLASSES,)
-            assert len(s.z) == 2 and set(s.z) <= {0.0, 1.0}
-            assert len(s.hidden) == 2 and s.hidden[0].shape == (5,)
-            assert s.attention.weights.shape == (1, K2)
+        out = model.forward_batch(rng.normal(size=(4, K2, FEAT))[None], train=False)
+        assert len(out.step_probs) == len(out.attention) == 4
+        for probs, res in zip(out.step_probs, out.attention):
+            assert probs.shape == (1, CLASSES)
+            assert res.weights.shape == (1, K2)
+        assert out.z_history.shape == (4, 2, 1)
+        assert set(np.unique(out.z_history)) <= {0.0, 1.0}
 
 
 class TestAttentionModes:
@@ -183,45 +184,39 @@ class TestLstmLikeConfiguration:
 
 
 class TestSequenceLoss:
-    def _outputs(self, prob_rows):
-        outs = []
-        for row in prob_rows:
-            outs.append(hm.StepOutput(probs=Tensor(np.asarray(row, dtype=float)),
-                                      attention=None, z=(), hidden=[]))
-        return outs
+    def _loss(self, prob_rows, label):
+        """Summed cross entropy of one clip: a batch of one row per step."""
+        probs = [Tensor(np.asarray(row, dtype=float)[None]) for row in prob_rows]
+        return hm.batch_sequence_loss(probs, np.array([label])).item()
 
     def test_perfect_predictions_give_zero(self):
-        outs = self._outputs([[1.0, 0.0, 0.0]] * 3)
-        assert hm.sequence_loss(outs, 0).item() == pytest.approx(0.0, abs=1e-12)
+        assert self._loss([[1.0, 0.0, 0.0]] * 3, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_predictions_give_t_log_c(self):
-        outs = self._outputs([[0.25] * 4] * 5)
-        assert hm.sequence_loss(outs, 2).item() == pytest.approx(5 * np.log(4.0), rel=1e-12)
+        assert self._loss([[0.25] * 4] * 5, 2) == pytest.approx(5 * np.log(4.0), rel=1e-12)
 
     def test_two_step_example(self):
         # direct arithmetic oracle: -2 ln 0.8
-        outs = self._outputs([[0.8, 0.2], [0.8, 0.2]])
-        assert hm.sequence_loss(outs, 0).item() == pytest.approx(-2 * np.log(0.8), rel=1e-12)
-        assert hm.sequence_loss(outs, 0).item() == pytest.approx(0.44629, abs=5e-6)
+        loss = self._loss([[0.8, 0.2], [0.8, 0.2]], 0)
+        assert loss == pytest.approx(-2 * np.log(0.8), rel=1e-12)
+        assert loss == pytest.approx(0.44629, abs=5e-6)
 
     def test_invalid_label_rejected(self):
-        outs = self._outputs([[0.5, 0.5]])
         with pytest.raises(ContractError):
-            hm.sequence_loss(outs, 2)
+            self._loss([[0.5, 0.5]], 2)
         with pytest.raises(ContractError):
-            hm.sequence_loss(outs, -1)
+            self._loss([[0.5, 0.5]], -1)
 
-    def test_batch_loss_is_mean_of_sequence_losses(self):
+    def test_batch_loss_is_minus_mean_of_log_likelihood_rows(self):
         rng = np.random.default_rng(13)
         probs = [Tensor(np_softmax(rng.normal(size=(3, CLASSES)))) for _ in range(4)]
         labels = np.array([0, 3, 1])
+        rows = hm.sequence_log_likelihood(probs, labels).data
+        expected = [sum(np.log(p.data[b, labels[b]]) for p in probs) for b in range(3)]
+        assert rows.shape == (3, 1)
+        npt.assert_allclose(rows[:, 0], expected, rtol=1e-12)
         batch = hm.batch_sequence_loss(probs, labels).item()
-        singles = []
-        for b in range(3):
-            outs = [hm.StepOutput(probs=Tensor(p.data[b]), attention=None, z=(), hidden=[])
-                    for p in probs]
-            singles.append(hm.sequence_loss(outs, int(labels[b])).item())
-        assert batch == pytest.approx(np.mean(singles), rel=1e-12)
+        assert batch == pytest.approx(-rows.mean(), rel=1e-12)
 
 
 class TestBoundaryRule:
@@ -386,6 +381,11 @@ class TestConfigValidation:
     def test_bad_force_z(self):
         with pytest.raises(ConfigError, match="force_z"):
             tiny_config(force_z=0.5).validate()
+
+    def test_per_layer_hidden_sizes_rejected(self):
+        # hidden is one size for every layer; a tuple must not reach forward_batch
+        with pytest.raises(ConfigError, match="hidden"):
+            hm.HMAN(hm.ModelConfig(layers=2, hidden=(4, 6), grid_side=2, feat_dim=3, classes=3))
 
     def test_bad_eval_z(self):
         with pytest.raises(ConfigError, match="eval_z"):

@@ -14,16 +14,15 @@ from hman.gradcheck import check_gradients
 
 
 def zero_noise(shape):
-    return st.GumbelNoise(Tensor(np.zeros(shape)), "zero")
+    return Tensor(np.zeros(shape))
 
 
 class TestGumbelSampling:
     def test_matches_inverse_cdf_of_same_stream(self):
         rng = np.random.default_rng(123)
-        noise = st.sample_gumbel((5,), np.random.default_rng(123), "test")
+        noise = st.sample_gumbel((5,), np.random.default_rng(123))
         u = np.clip(rng.random((5,)), st.GUMBEL_EPS, 1 - st.GUMBEL_EPS)
-        npt.assert_array_equal(noise.values.data, -np.log(-np.log(u)))
-        assert noise.lineage == "test"
+        npt.assert_array_equal(noise.data, -np.log(-np.log(u)))
 
     def test_extreme_uniforms_stay_finite(self):
         # the clamp keeps -log(-log(u)) finite even at the stream's extremes
@@ -38,7 +37,7 @@ class TestGumbelSoftmax:
         npt.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_low_temperature_approaches_argmax(self):
-        noise = st.GumbelNoise(Tensor([[1.0, 0.0]]), "fixed")
+        noise = Tensor([[1.0, 0.0]])
         out = st.gumbel_softmax(Tensor([[0.0, 0.0]]), noise, 0.01)
         assert out.data[0, 0] > 1.0 - 1e-12
         assert out.data[0, 1] < 1e-12
@@ -67,7 +66,7 @@ class TestGumbelSoftmax:
         # Monte Carlo oracle: argmax of logits+gumbel is a categorical draw
         n = 100_000
         rng = np.random.default_rng(99)
-        g = st.sample_gumbel((n, len(logits)), rng).values.data
+        g = st.sample_gumbel((n, len(logits)), rng).data
         winners = np.argmax(np.asarray(logits) + g, axis=-1)
         counts = np.bincount(winners, minlength=len(logits))
         expected = ad.softmax(Tensor([logits])).data[0]
@@ -97,7 +96,7 @@ class TestGumbelSoftmax:
 
 class TestGumbelSigmoid:
     def test_equal_noise_cancels(self):
-        g = st.GumbelNoise(Tensor([[0.7]]), "a")
+        g = Tensor([[0.7]])
         for tau in (0.1, 0.3, 1.0):
             out = st.gumbel_sigmoid(Tensor([[0.0]]), g, g, tau)
             assert out.data[0, 0] == pytest.approx(0.5, abs=1e-15)
@@ -112,7 +111,7 @@ class TestGumbelSigmoid:
         ga = st.sample_gumbel((1, 1), rng)
         gb = st.sample_gumbel((1, 1), rng)
         out = st.gumbel_sigmoid(Tensor([[0.5]]), ga, gb, 0.3)
-        a, b = float(ga.values.data[0, 0]), float(gb.values.data[0, 0])
+        a, b = float(ga.data[0, 0]), float(gb.data[0, 0])
         expected = 1.0 / (1.0 + math.exp(-((0.5 + a - b) / 0.3)))
         assert out.data[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -193,7 +192,6 @@ class TestAdaptiveTau:
         w = Tensor(np.zeros((3, 1)))
         b = Tensor(np.zeros((1, 1)))
         tau = st.adaptive_tau(h, w, b)
-        assert tau.mode == "adaptive"
         assert tau.value.data[0, 0] == pytest.approx(1.0 / (math.log(2.0) + 1.0), abs=1e-9)
 
     def test_very_negative_preactivation_approaches_one(self):

@@ -115,6 +115,26 @@ class TestTrainEpoch:
         assert m.update_rates[0] == pytest.approx(1.0)  # layer 1 always recomputes
         assert all(0 <= r <= 1 for r in m.update_rates)
 
+    def test_reported_loss_is_the_backpropagated_cross_entropy(self, small_dataset,
+                                                               monkeypatch):
+        _, train, _ = small_dataset
+        # one batch: window 3 <= every clip length and the batch holds the whole split
+        trainer = small_trainer(ht.TrainConfig(batch_size=len(train), window=3, lr=3e-3,
+                                               epochs=1))
+        recorded = []
+        original = hm.batch_sequence_loss
+
+        def recording(*args, **kwargs):
+            recorded.append(original(*args, **kwargs))
+            return recorded[-1]
+
+        monkeypatch.setattr(hm, "batch_sequence_loss", recording)
+        m = trainer.train_epoch(train, epoch=1)
+        assert m.iteration == 1 and len(recorded) == 1
+        assert recorded[0].grad is not None  # it sat on the tape that was replayed
+        # the epoch mean weights the batch value by its size: x * n / n, within an ulp
+        assert m.loss == pytest.approx(recorded[0].item(), rel=1e-15, abs=0)
+
     def test_loss_decreases_on_learnable_data(self, small_dataset):
         _, train, _ = small_dataset
         trainer = small_trainer()
@@ -143,7 +163,8 @@ class TestTrainEpoch:
             for s in train:
                 fwd = trainer.model.forward_batch(
                     s.features[None], rng=np.random.default_rng(seed), train=True)
-                losses.append(trainer._cross_entropy_value(fwd, np.array([s.label])))
+                losses.append(-hm.sequence_log_likelihood(fwd.step_probs,
+                                                          np.array([s.label])).item())
             initial = float(np.mean(losses))
             metrics = trainer.train_epoch(train, epoch=1)
             wins += int(metrics.loss < initial)
