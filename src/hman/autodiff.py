@@ -43,7 +43,7 @@ _grad_enabled = True
 
 
 def set_debug_checks(enabled: bool) -> None:
-    """Toggle NaN-guard checks on log/exp/div domain violations."""
+    """Toggle the NaN-guard check on division by zero."""
     global _debug_checks
     _debug_checks = bool(enabled)
 
@@ -330,32 +330,6 @@ def softplus(a) -> Tensor:
 
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g * sig)
-
-    return Tensor._from_op(data, (a,), backward_fn)
-
-
-def exp(a) -> Tensor:
-    a = _ensure_tensor(a)
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise NanGuardError("exp overflowed to non-finite values")
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * data)
-
-    return Tensor._from_op(data, (a,), backward_fn)
-
-
-def log(a) -> Tensor:
-    a = _ensure_tensor(a)
-    if _debug_checks and np.any(a.data <= 0.0):
-        raise NanGuardError("log of a non-positive value")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g / a.data)
 
     return Tensor._from_op(data, (a,), backward_fn)
 

@@ -25,6 +25,7 @@ from .errors import ConfigError, FormatError
 ATTENTION_MODES = ("soft", "reinforce", "gumbel-constant", "gumbel-adaptive")
 EVAL_Z_MODES = ("deterministic", "sampled")
 EVAL_NOISE_SEED = 0  # seeds the boundary noise of a sampled evaluation
+EVAL_CHUNK_ROWS = 64  # most blocks per evaluation forward: the recipe's training batch
 
 CHECKPOINT_MAGIC = b"HMAN1"
 
@@ -238,24 +239,16 @@ class HMAN:
                       rng: np.random.Generator | None = None) -> tuple[int, np.ndarray]:
         """Average per-step predictions within each block, then across blocks.
 
-        Runs in evaluation mode: hard attention selects by argmax and,
-        with the default ``eval_z``, boundary bits are noise-free and
-        ``rng`` is never drawn from.  With ``eval_z="sampled"`` the
-        boundary noise comes from ``rng``, or from a generator seeded
-        with ``EVAL_NOISE_SEED`` (0) when none is given.  Ties resolve
-        to the lowest class index.
+        Runs in evaluation mode through :func:`score_clips`: hard attention
+        selects by argmax and, with the default ``eval_z``, boundary bits
+        are noise-free and ``rng`` is never drawn from.  With
+        ``eval_z="sampled"`` the boundary noise comes from ``rng``, or from
+        a generator seeded with ``EVAL_NOISE_SEED`` (0) when none is given.
+        Ties resolve to the lowest class index.
         """
-        if not blocks:
-            raise ContractError("predict_video needs at least one block")
         if rng is None:
             rng = np.random.default_rng(EVAL_NOISE_SEED)
-        with ad.no_grad():
-            per_block = []
-            for block in blocks:
-                block = np.asarray(block, dtype=np.float64)
-                out = self.forward_batch(block[None], rng=rng, train=False)
-                per_block.append(out.mean_probs()[0])
-        avg = np.mean(per_block, axis=0)
+        avg = score_clips(self, [blocks], rng)[0]
         return int(np.argmax(avg)), avg
 
     # -- persistence -------------------------------------------------------
@@ -267,6 +260,41 @@ class HMAN:
     @classmethod
     def load(cls, path) -> "HMAN":
         return load_checkpoint(path)[0]
+
+
+def score_clips(model: HMAN, clips: list[list[np.ndarray]],
+                rng: np.random.Generator) -> np.ndarray:
+    """Block-averaged class probabilities of every clip, as an (N, C) array.
+
+    ``clips[i]`` holds clip i's (T_b, K*K, D) blocks.  Blocks of equal
+    shape, from any clip, are stacked and scored together in evaluation
+    mode under ``no_grad``, at most ``EVAL_CHUNK_ROWS`` per forward, in
+    order of block length.  Each block's per-step mean probabilities go
+    back to its clip, and a clip's row is the mean over its blocks in
+    their own order.  With ``eval_z="sampled"`` each forward draws its
+    chunk's boundary noise from ``rng``, so a clip's noise depends on
+    the blocks it shares a chunk with.
+    """
+    if not all(clips):
+        raise ContractError("every clip needs at least one block")
+    blocks = [np.asarray(b, dtype=np.float64) for clip in clips for b in clip]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, block in enumerate(blocks):
+        groups.setdefault(block.shape, []).append(k)
+    rows = np.zeros((len(blocks), model.config.classes))
+    with ad.no_grad():
+        for shape in sorted(groups):
+            members = groups[shape]
+            for start in range(0, len(members), EVAL_CHUNK_ROWS):
+                chunk = members[start:start + EVAL_CHUNK_ROWS]
+                out = model.forward_batch(np.stack([blocks[k] for k in chunk]),
+                                          rng=rng, train=False)
+                rows[chunk] = out.mean_probs()
+    bounds = np.cumsum([0] + [len(clip) for clip in clips])
+    scores = np.zeros((len(clips), model.config.classes))
+    for i in range(len(clips)):
+        scores[i] = np.mean(rows[bounds[i]:bounds[i + 1]], axis=0)
+    return scores
 
 
 def sequence_log_likelihood(step_probs: list[Tensor], labels: np.ndarray) -> Tensor:

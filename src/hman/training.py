@@ -294,22 +294,23 @@ def split_blocks(features: np.ndarray, block_len: int) -> list[np.ndarray]:
 
 def evaluate(model: hm.HMAN, samples: list[VideoSample], block_len: int,
              with_ap: bool = False) -> EvalReport:
-    """Block-averaged predictions per clip.
+    """Block-averaged predictions per clip, scored by :func:`hm.score_clips`.
 
-    Deterministic with the default ``eval_z``.  With ``eval_z="sampled"``
-    every clip draws its boundary noise from one generator seeded with
-    ``hm.EVAL_NOISE_SEED`` (0), so a sampled evaluation is reproducible.
+    Every clip is cut into ``block_len``-frame blocks, and blocks of equal
+    length are scored together in batches.  Ties go to the lowest class
+    index.  Deterministic with the default ``eval_z``.  With
+    ``eval_z="sampled"`` the boundary noise of every batch comes from one
+    generator seeded with ``hm.EVAL_NOISE_SEED`` (0), drawn batch by batch
+    in order of block length; a clip's noise therefore depends on which
+    clips it is evaluated with, and the same samples in the same order
+    give the same report.
     """
     rng = np.random.default_rng(hm.EVAL_NOISE_SEED)
     classes = model.config.classes
+    scores = hm.score_clips(model, [split_blocks(s.features, block_len) for s in samples], rng)
+    labels = np.array([s.label for s in samples], dtype=np.intp)
     confusion = np.zeros((classes, classes), dtype=np.int64)
-    scores = np.zeros((len(samples), classes))
-    labels = np.zeros(len(samples), dtype=np.intp)
-    for i, sample in enumerate(samples):
-        predicted, probs = model.predict_video(split_blocks(sample.features, block_len), rng)
-        confusion[sample.label, predicted] += 1
-        scores[i] = probs
-        labels[i] = sample.label
+    np.add.at(confusion, (labels, np.argmax(scores, axis=1)), 1)
     totals = confusion.sum(axis=1)
     per_class = [float(confusion[c, c] / totals[c]) if totals[c] else float("nan")
                  for c in range(classes)]

@@ -48,18 +48,12 @@ class TestElementwise:
         out = ad.sigmoid(Tensor([-1e4, 1e4])).data
         assert out[0] == 0.0 and out[1] == 1.0
 
-    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.softplus, ad.exp])
+    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.softplus])
     def test_unary_gradients(self, op):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         v = Tensor(rng.normal(size=(3, 4)))
         worst = check_gradients(lambda: ad.sum_(op(x) * v), [x])
-        assert worst < 1e-6
-
-    def test_log_gradient(self):
-        rng = np.random.default_rng(12)
-        x = Tensor(rng.uniform(0.5, 3.0, size=(3, 4)), requires_grad=True)
-        worst = check_gradients(lambda: ad.sum_(ad.log(x)), [x])
         assert worst < 1e-6
 
     def test_binary_ops_with_broadcast(self):
@@ -74,14 +68,10 @@ class TestElementwise:
         assert check_gradients(build, [x, bias, scalar]) < 1e-6
 
     def test_nan_guard_only_in_debug_mode(self):
-        bad = Tensor([-1.0])
-        ad.log(bad)  # silent by default
+        with np.errstate(divide="ignore"):
+            ad.div(Tensor([1.0]), Tensor([0.0]))  # silent by default
         ad.set_debug_checks(True)
         try:
-            with pytest.raises(NanGuardError):
-                ad.log(bad)
-            with pytest.raises(NanGuardError):
-                ad.exp(Tensor([1e9]))
             with pytest.raises(NanGuardError):
                 ad.div(Tensor([1.0]), Tensor([0.0]))
         finally:

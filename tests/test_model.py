@@ -280,20 +280,20 @@ class TestBoundaryRule:
 
 
 class _FixedModel(hm.HMAN):
-    """forward_batch stub returning scripted per-block probabilities."""
+    """forward_batch stub returning one scripted probability row per input row."""
 
     def __init__(self, script):
         super().__init__(tiny_config(), np.random.default_rng(0))
         self._script = list(script)
-        self._calls = 0
+        self._rows = 0
 
     def forward_batch(self, x, rng=None, train=True, **kw):
-        probs = self._script[self._calls]
-        self._calls += 1
+        probs = self._script[self._rows:self._rows + len(x)]
+        self._rows += len(x)
 
         class _Out:
             def mean_probs(self_inner):
-                return np.asarray(probs)[None]
+                return np.asarray(probs)
 
         return _Out()
 

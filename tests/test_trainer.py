@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from hman import autodiff as ad
 from hman import data as hd
 from hman import model as hm
 from hman import training as ht
@@ -237,6 +238,50 @@ class TestEvaluate:
         report = ht.evaluate(trainer.model, test, block_len=10)
         assert report.confusion.sum() == len(test)
         assert report.accuracy == pytest.approx(np.trace(report.confusion) / len(test))
+
+    @pytest.mark.parametrize("attention", hm.ATTENTION_MODES)
+    def test_batched_scoring_matches_one_forward_per_block(self, small_dataset, attention,
+                                                           monkeypatch):
+        _, train, test = small_dataset
+        samples = train + test  # clips of 6-10 frames
+        block_len = 3           # ragged last blocks of 1 and 2 frames; > 64 blocks of 3
+        trainer = small_trainer(attention=attention)
+        trainer.train_epoch(train, epoch=1)
+        model = trainer.model
+        clips = [ht.split_blocks(s.features, block_len) for s in samples]
+        # oracle: one B=1 forward per block, block-averaged per clip
+        with ad.no_grad():
+            want = np.array([np.mean([model.forward_batch(b[None], train=False).mean_probs()[0]
+                                      for b in blocks], axis=0) for blocks in clips])
+        labels = np.array([s.label for s in samples])
+        expected = np.zeros((4, 4), dtype=np.int64)
+        np.add.at(expected, (labels, np.argmax(want, axis=1)), 1)
+
+        sizes = []
+        original = hm.HMAN.forward_batch
+
+        def counting(self, x, *args, **kwargs):
+            sizes.append(len(x))
+            return original(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(hm.HMAN, "forward_batch", counting)
+        report = ht.evaluate(model, samples, block_len=block_len)
+        monkeypatch.undo()
+        assert len({b.shape[0] for blocks in clips for b in blocks}) == 3
+        assert sum(sizes) == sum(len(blocks) for blocks in clips)
+        assert max(sizes) == hm.EVAL_CHUNK_ROWS and len(sizes) == 4  # 3 lengths, one split
+        npt.assert_array_equal(report.confusion, expected)
+
+        got = hm.score_clips(model, clips, np.random.default_rng(0))
+        npt.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_empty_split_gives_zero_confusion_and_nan_rates(self):
+        report = ht.evaluate(small_trainer().model, [], block_len=3, with_ap=True)
+        npt.assert_array_equal(report.confusion, np.zeros((4, 4)))
+        assert report.accuracy == 0.0
+        assert np.all(np.isnan(report.per_class_accuracy))
+        assert np.all(np.isnan(report.average_precision))
 
     def test_split_blocks_partitions_frames(self):
         feats = np.zeros((130, 4, 6))
