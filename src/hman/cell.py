@@ -17,6 +17,28 @@ Boundaries nest: a layer can close a segment only on a step where the
 layer below closed one (z <= below_z), so every upper-layer boundary is
 also a lower-layer boundary and no layer recomputes its state more often
 than the layer below it.
+
+A step records three fused tape ops, each with a hand-written backward
+(the fused-RNN idea of Appleyard et al., arXiv 1604.01946), plus the
+slices that read their outputs:
+
+* ``_preactivation``: s = h_prev@U_rec + (z_below*h_below)@W_bot + bias
+  (+ (z_prev*h_above)@U_top), added in that order.  It keeps the masked
+  inputs z_below*h_below and z_prev*h_above for the weight gradients.
+* ``_boundary``: from the ``z`` column of s, y = sigmoid(((pre + a) - b)/tau)
+  with Gumbel draws a, b (a = b = 0 and tau = 1 when deterministic), the
+  bit 1[y >= 0.5] (or y itself with soft boundaries), and the output
+  bit*z_below.  It keeps y and the bit.  Its backward is straight-through:
+  the thresholding passes its adjoint unchanged, so ``pre`` receives
+  g*z_below*y*(1-y)/tau and ``z_below`` receives g*bit.
+* ``_state``: the [i|f|o|g] gates and the UPDATE/COPY/FLUSH multiplex,
+  returning [c|h].  It keeps the gate activations, i*g, f*c_prev + i*g,
+  tanh(c) (or c) and o*tanh(c), and the (B, 1) branch weights; its
+  backward reaches s, c_prev, h_prev, z_prev and z_below.
+
+Each op repeats the element-wise arithmetic of the op-by-op form in the
+same order, so forward values are bitwise those of composing ``autodiff``
+primitives.
 """
 
 from __future__ import annotations
@@ -119,6 +141,118 @@ def _require_binary(z: Tensor, what: str) -> None:
         raise ContractError(f"{what} must be exactly 0/1, got values like {d.ravel()[:4]}")
 
 
+def _masked_matmul_grads(g: np.ndarray, z: Tensor, v: Tensor, w: Tensor,
+                         masked: np.ndarray) -> None:
+    """Adjoints of (z*v)@w, given ``masked`` = z*v and the output adjoint g."""
+    if w.requires_grad:
+        ad._accumulate(w, masked.T @ g)
+    if v.requires_grad or z.requires_grad:
+        g_masked = g @ w.data.T
+        if v.requires_grad:
+            ad._accumulate(v, ad._unbroadcast(g_masked * z.data, v.shape))
+        if z.requires_grad:
+            ad._accumulate(z, ad._unbroadcast(
+                (g_masked * v.data).sum(axis=-1, keepdims=True), z.shape))
+
+
+def _preactivation(prev: LayerState, below_h: Tensor, below_z: Tensor,
+                   above_h: Tensor | None, params: LayerParams) -> Tensor:
+    """The stacked (B, 4*hidden+1) pre-activation s as one tape op."""
+    h_prev, u_rec, w_bot, bias, u_top = (prev.h, params.u_rec, params.w_bot,
+                                         params.bias, params.u_top)
+    below_in = below_z.data * below_h.data
+    data = (h_prev.data @ u_rec.data) + (below_in @ w_bot.data) + bias.data
+    parents = [h_prev, u_rec, below_z, below_h, w_bot, bias]
+    if u_top is not None:
+        above_in = prev.z.data * above_h.data
+        data = data + above_in @ u_top.data
+        parents += [prev.z, above_h, u_top]
+
+    def backward_fn(g: np.ndarray) -> None:
+        if u_rec.requires_grad:
+            ad._accumulate(u_rec, h_prev.data.T @ g)
+        if h_prev.requires_grad:
+            ad._accumulate(h_prev, g @ u_rec.data.T)
+        _masked_matmul_grads(g, below_z, below_h, w_bot, below_in)
+        ad._accumulate(bias, ad._unbroadcast(g, bias.shape))
+        if u_top is not None:
+            _masked_matmul_grads(g, prev.z, above_h, u_top, above_in)
+
+    return Tensor._from_op(data, parents, backward_fn)
+
+
+def _boundary(pre: Tensor, below_z: Tensor, noise_a, noise_b, tau: float,
+              soft: bool) -> Tensor:
+    """z*below_z with z = threshold(sigmoid(((pre + a) - b)/tau)) as one tape op.
+
+    ``soft`` keeps the relaxed value instead of the 0/1 bit.  The
+    backward is straight-through: the threshold passes its adjoint
+    unchanged to the sigmoid.
+    """
+    y = 0.5 * (np.tanh(0.5 * (((pre.data + noise_a) - noise_b) / tau)) + 1.0)
+    bit = y if soft else (y >= 0.5).astype(np.float64)
+    zb = below_z.data
+
+    def backward_fn(g: np.ndarray) -> None:
+        if pre.requires_grad:
+            ad._accumulate(pre, ad._unbroadcast(g * zb * y * (1.0 - y) / tau, pre.shape))
+        if below_z.requires_grad:
+            ad._accumulate(below_z, ad._unbroadcast(g * bit, below_z.shape))
+
+    return Tensor._from_op(bit * zb, (pre, below_z), backward_fn)
+
+
+def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
+           hidden_tanh: bool) -> Tensor:
+    """The gates and the UPDATE/COPY/FLUSH multiplex as one tape op, giving [c|h]."""
+    n = hidden
+    c_prev, h_prev, z_prev = prev.c, prev.h, prev.z
+    gates = 0.5 * (np.tanh(0.5 * s.data[:, :3 * n]) + 1.0)  # [i | f | o]
+    i, f, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
+    g = np.tanh(s.data[:, 3 * n:4 * n])
+    zp, zb = z_prev.data, below_z.data
+    not_zp = 1.0 - zp
+    flush_c = i * g
+    update_c = f * c_prev.data + flush_c
+    update_w = not_zp * zb
+    copy_mask = not_zp * (1.0 - zb)
+    c = zp * flush_c + update_w * update_c + copy_mask * c_prev.data
+    squashed = np.tanh(c) if hidden_tanh else c
+    active_h = o * squashed
+    h = (1.0 - copy_mask) * active_h + copy_mask * h_prev.data
+
+    def backward_fn(grad: np.ndarray) -> None:
+        gc, gh = grad[:, :n], grad[:, n:]
+        d_active = gh * (1.0 - copy_mask)
+        d_squashed = d_active * o
+        dc = gc + (d_squashed * (1.0 - squashed * squashed) if hidden_tanh else d_squashed)
+        d_update = dc * update_w
+        d_flush = dc * zp + d_update
+        if s.requires_grad:
+            ds = np.zeros(s.shape)
+            d_gates = np.concatenate([d_flush * g, d_update * c_prev.data,
+                                      d_active * squashed], axis=-1)
+            ds[:, :3 * n] = d_gates * gates * (1.0 - gates)
+            ds[:, 3 * n:4 * n] = d_flush * i * (1.0 - g * g)
+            ad._accumulate(s, ds)
+        if c_prev.requires_grad:
+            ad._accumulate(c_prev, ad._unbroadcast(d_update * f + dc * copy_mask, c_prev.shape))
+        if h_prev.requires_grad:
+            ad._accumulate(h_prev, ad._unbroadcast(gh * copy_mask, h_prev.shape))
+        if z_prev.requires_grad or below_z.requires_grad:
+            d_update_w = (dc * update_c).sum(axis=-1, keepdims=True)
+            d_copy = dc * c_prev.data + gh * (h_prev.data - active_h)
+            d_copy = d_copy.sum(axis=-1, keepdims=True)
+            d_not_zp = d_update_w * zb + d_copy * (1.0 - zb)
+            d_zp = (dc * flush_c).sum(axis=-1, keepdims=True) - d_not_zp
+            ad._accumulate(z_prev, ad._unbroadcast(d_zp, z_prev.shape))
+            ad._accumulate(below_z, ad._unbroadcast((d_update_w - d_copy) * not_zp,
+                                                    below_z.shape))
+
+    return Tensor._from_op(np.concatenate([c, h], axis=-1),
+                           (s, c_prev, h_prev, z_prev, below_z), backward_fn)
+
+
 def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
          above_h_prev: Tensor | None, params: LayerParams, *,
          noise: BoundaryNoise | None = None, rng: np.random.Generator | None = None,
@@ -145,41 +279,36 @@ def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
     if below_h.shape[-1] != params.w_bot.shape[0]:
         raise ad.DimensionError(
             f"below_h width {below_h.shape} does not match bottom-up matrix {params.w_bot.shape}")
+    if prev.h.shape[-1] != hidden:
+        raise ad.DimensionError(
+            f"previous hidden state {prev.h.shape} does not match recurrent matrix "
+            f"{params.u_rec.shape}")
     if not soft_boundaries:
         _require_binary(prev.z, "previous own-layer boundary bit")
         _require_binary(below_z, "lower-layer boundary bit")
-
-    s = (prev.h @ params.u_rec) + ((below_z * below_h) @ params.w_bot) + params.bias
     if params.u_top is not None:
         if above_h_prev is None:
             raise ContractError("layer has a top-down matrix but no above-layer state was given")
-        s = s + (prev.z * above_h_prev) @ params.u_top
+        if above_h_prev.shape[-1] != params.u_top.shape[0]:
+            raise ad.DimensionError(
+                f"above-layer state {above_h_prev.shape} does not match top-down matrix "
+                f"{params.u_top.shape}")
 
-    i = ad.sigmoid(ad.slice_cols(s, 0, hidden))
-    f = ad.sigmoid(ad.slice_cols(s, hidden, 2 * hidden))
-    o = ad.sigmoid(ad.slice_cols(s, 2 * hidden, 3 * hidden))
-    g = ad.tanh(ad.slice_cols(s, 3 * hidden, 4 * hidden))
+    s = _preactivation(prev, below_h, below_z, above_h_prev, params)
     z_pre = ad.slice_cols(s, 4 * hidden, 4 * hidden + 1)
 
     if force_z is not None:
-        z = Tensor(np.full((s.shape[0], 1), float(force_z)))
+        z = Tensor(np.full((s.shape[0], 1), float(force_z))) * below_z
     elif deterministic:
-        z = st.hard_threshold(ad.sigmoid(z_pre))
+        z = _boundary(z_pre, below_z, 0.0, 0.0, 1.0, soft=False)
     else:
         if noise is None:
             if rng is None:
                 raise ContractError("step needs either explicit boundary noise or an rng")
             noise = BoundaryNoise.sample((s.shape[0], 1), rng)
-        soft_z = st.gumbel_sigmoid(z_pre, noise.a, noise.b, tau)
-        z = soft_z if soft_boundaries else st.hard_threshold(soft_z)
+        z = _boundary(z_pre, below_z, noise.a.data, noise.b.data, st._tau_operand(tau),
+                      soft=soft_boundaries)
 
-    zp = prev.z
-    zb = below_z
-    not_zp = 1.0 - zp
-    flush_c = i * g
-    update_c = f * prev.c + flush_c
-    copy_mask = not_zp * (1.0 - zb)
-    c = zp * flush_c + (not_zp * zb) * update_c + copy_mask * prev.c
-    active_h = o * ad.tanh(c) if hidden_tanh else o * c
-    h = (1.0 - copy_mask) * active_h + copy_mask * prev.h
-    return LayerState(c=c, h=h, z=z * zb, z_logit=z_pre)
+    ch = _state(s, prev, below_z, hidden, hidden_tanh)
+    return LayerState(c=ad.slice_cols(ch, 0, hidden), h=ad.slice_cols(ch, hidden, 2 * hidden),
+                      z=z, z_logit=z_pre)

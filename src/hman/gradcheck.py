@@ -5,7 +5,9 @@ A check builds a small fixed-seed instance, evaluates the loss through
 the tape, and compares each parameter gradient against central
 differences of the same forward computation.  Stochastic paths are
 checked on their relaxed (soft) form with frozen noise; discretization
-itself is covered by the straight-through contract tests instead.
+itself is covered by the straight-through contract tests instead, and
+the hard-bit gradients of the fused cell by its comparison with the
+op-by-op cell in ``tests/test_cell.py``.
 """
 
 from __future__ import annotations
@@ -231,13 +233,18 @@ def _check_cell_flush(rng):
     return _cell_branch_check(rng, z_prev=1.0, below_z=1.0)
 
 
-def _cell_branch_check(rng, z_prev: float, below_z: float):
+@register("cell-literal-h")
+def _check_cell_literal_h(rng):
+    return _cell_branch_check(rng, z_prev=0.0, below_z=1.0, hidden_tanh=False)
+
+
+def _cell_branch_check(rng, z_prev: float, below_z: float, hidden_tanh: bool = True):
     from . import cell as hc
 
     hidden, below = 3, 4
     params = hc.init_layer_params(hidden, below_dim=below, above_dim=hidden, rng=rng)
     prev = hc.LayerState(
-        c=Tensor(rng.normal(size=(1, hidden))),
+        c=Tensor(rng.normal(size=(1, hidden)), requires_grad=True),
         h=Tensor(rng.normal(size=(1, hidden)), requires_grad=True),
         z=Tensor([[z_prev]]),
     )
@@ -247,10 +254,11 @@ def _cell_branch_check(rng, z_prev: float, below_z: float):
 
     def build():
         state = hc.step(prev, below_h, Tensor([[below_z]]), above_h, params,
-                        noise=noise, soft_boundaries=True)
+                        noise=noise, soft_boundaries=True, hidden_tanh=hidden_tanh)
         return ad.sum_(state.h * state.h) + ad.sum_(state.c) + ad.sum_(state.z)
 
-    tensors = [params.u_rec, params.u_top, params.w_bot, params.bias, prev.h, below_h, above_h]
+    tensors = [params.u_rec, params.u_top, params.w_bot, params.bias, prev.c, prev.h,
+               below_h, above_h]
     return build, tensors
 
 

@@ -116,10 +116,17 @@ class HMAN:
         if cfg.attention == "gumbel-adaptive":
             self.params["attn.w_temp"] = uniform(cfg.hidden, 1, cfg.hidden)
             self.params["attn.b_temp"] = Tensor(np.zeros((1, 1)), requires_grad=True)
+        self._attention_params = at.AttentionParams(
+            w_loc=self.params["attn.w_loc"],
+            w_temp=self.params.get("attn.w_temp"),
+            b_temp=self.params.get("attn.b_temp"),
+        )
+        self._layer_params: list[hc.LayerParams] = []
         for layer in range(1, cfg.layers + 1):
             below = cfg.feat_dim if layer == 1 else cfg.hidden
             above = cfg.hidden if layer < cfg.layers else None
             lp = hc.init_layer_params(cfg.hidden, below_dim=below, above_dim=above, rng=rng)
+            self._layer_params.append(lp)
             self.params[f"layer{layer}.u_rec"] = lp.u_rec
             if lp.u_top is not None:
                 self.params[f"layer{layer}.u_top"] = lp.u_top
@@ -132,19 +139,12 @@ class HMAN:
             p.name = name
 
     def layer_params(self, layer: int) -> hc.LayerParams:
-        return hc.LayerParams(
-            u_rec=self.params[f"layer{layer}.u_rec"],
-            u_top=self.params.get(f"layer{layer}.u_top"),
-            w_bot=self.params[f"layer{layer}.w_bot"],
-            bias=self.params[f"layer{layer}.bias"],
-        )
+        """Layer ``layer``'s (1-based) weights: the tensors in ``params``, built once."""
+        return self._layer_params[layer - 1]
 
     def attention_params(self) -> at.AttentionParams:
-        return at.AttentionParams(
-            w_loc=self.params["attn.w_loc"],
-            w_temp=self.params.get("attn.w_temp"),
-            b_temp=self.params.get("attn.b_temp"),
-        )
+        """The attention weights: the tensors in ``params``, built once."""
+        return self._attention_params
 
     def zero_grad(self) -> None:
         ad.zero_grad(self.params.values())

@@ -1,4 +1,5 @@
-"""Cell update semantics: branch selection, masking, gradients, LSTM-like limit."""
+"""Cell update semantics: branch selection, masking, gradients, LSTM-like limit,
+and the fused step against the op-by-op reference."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +7,7 @@ import pytest
 
 from hman import autodiff as ad
 from hman import cell as hc
+from hman import stochastic as st
 from hman.autodiff import ContractError, DimensionError, Tensor
 from hman.gradcheck import check_gradients
 
@@ -249,9 +251,14 @@ class TestContracts:
     def test_shape_mismatch_is_dimension_error(self):
         rng = np.random.default_rng(14)
         params = make_params(rng)
-        prev, _, above_h = make_inputs(rng)
+        prev, below_h, above_h = make_inputs(rng)
         with pytest.raises(DimensionError):
             run_step(prev, Tensor(rng.normal(size=(1, BELOW + 2))), 1.0, above_h, params)
+        with pytest.raises(DimensionError):
+            run_step(prev, below_h, 1.0, Tensor(rng.normal(size=(1, HIDDEN + 1))), params)
+        prev.h = Tensor(rng.normal(size=(1, HIDDEN + 1)))
+        with pytest.raises(DimensionError):
+            run_step(prev, below_h, 1.0, above_h, params)
 
     def test_missing_noise_and_rng_rejected(self):
         rng = np.random.default_rng(15)
@@ -271,3 +278,158 @@ class TestContracts:
         _, _, _, _, z_pre = manual_gates(params, prev.h.data, 0.0, below_h.data, 1.0, above_h.data)
         expected_z = 1.0 if 1.0 / (1.0 + np.exp(-z_pre[0, 0])) >= 0.5 else 0.0
         assert a.z.data[0, 0] == expected_z
+
+
+def reference_step(prev, below_h, below_z, above_h_prev, params, *, noise=None,
+                   tau=hc.BOUNDARY_TAU, soft_boundaries=False, deterministic=False,
+                   hidden_tanh=True, force_z=None):
+    """The cell step composed of ``autodiff`` primitives, one tape node per op.
+
+    This is the form the fused ops replace; it stays here as their oracle
+    (checks and the rng fallback left out: callers pass the noise).
+    """
+    hidden = params.hidden
+    s = (prev.h @ params.u_rec) + ((below_z * below_h) @ params.w_bot) + params.bias
+    if params.u_top is not None:
+        s = s + (prev.z * above_h_prev) @ params.u_top
+
+    i = ad.sigmoid(ad.slice_cols(s, 0, hidden))
+    f = ad.sigmoid(ad.slice_cols(s, hidden, 2 * hidden))
+    o = ad.sigmoid(ad.slice_cols(s, 2 * hidden, 3 * hidden))
+    g = ad.tanh(ad.slice_cols(s, 3 * hidden, 4 * hidden))
+    z_pre = ad.slice_cols(s, 4 * hidden, 4 * hidden + 1)
+
+    if force_z is not None:
+        z = Tensor(np.full((s.shape[0], 1), float(force_z)))
+    elif deterministic:
+        z = st.hard_threshold(ad.sigmoid(z_pre))
+    else:
+        soft_z = st.gumbel_sigmoid(z_pre, noise.a, noise.b, tau)
+        z = soft_z if soft_boundaries else st.hard_threshold(soft_z)
+
+    zp = prev.z
+    zb = below_z
+    not_zp = 1.0 - zp
+    flush_c = i * g
+    update_c = f * prev.c + flush_c
+    copy_mask = not_zp * (1.0 - zb)
+    c = zp * flush_c + (not_zp * zb) * update_c + copy_mask * prev.c
+    active_h = o * ad.tanh(c) if hidden_tanh else o * c
+    h = (1.0 - copy_mask) * active_h + copy_mask * prev.h
+    return hc.LayerState(c=c, h=h, z=z * zb, z_logit=z_pre)
+
+
+# rows: UPDATE, COPY, FLUSH, FLUSH, UPDATE, COPY
+Z_PREV = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
+Z_BELOW = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+BOUNDARY_MODES = {
+    "noisy": {},
+    "deterministic": {"deterministic": True},
+    "forced": {"force_z": 1.0},
+    "soft": {"soft_boundaries": True},
+}
+
+
+class TestFusedMatchesReference:
+    """The fused step against the op-by-op reference, on a B=6 mixed batch.
+
+    Finite differences cannot see the straight-through gradient of hard
+    bits, so this comparison is the only check of those gradients.
+    """
+
+    def _case(self, top: bool, relaxed: bool):
+        rng = np.random.default_rng(31)
+        batch = len(Z_PREV)
+        params = make_params(rng, above=not top)
+        def leaf(values):
+            return Tensor(values, requires_grad=True)
+
+        z_prev = np.array(Z_PREV)[:, None]
+        z_below = np.array(Z_BELOW)[:, None]
+        if relaxed:  # the soft form also runs on relaxed incoming bits
+            z_prev = np.clip(z_prev + rng.uniform(-0.3, 0.3, size=z_prev.shape), 0.0, 1.0)
+            z_below = np.clip(z_below + rng.uniform(-0.3, 0.3, size=z_below.shape), 0.0, 1.0)
+        inputs = {
+            "prev.c": leaf(rng.normal(size=(batch, HIDDEN))),
+            "prev.h": leaf(rng.normal(size=(batch, HIDDEN))),
+            "prev.z": leaf(z_prev),
+            "below_h": leaf(rng.normal(size=(batch, BELOW))),
+            "below_z": leaf(z_below),
+            "above_h": None if top else leaf(rng.normal(size=(batch, HIDDEN))),
+        }
+        # centre the detector between rows 0 and 2 (both UPDATE or FLUSH
+        # with a boundary below), so that both bit values occur in the batch
+        params.bias.data[0, 4 * HIDDEN] = 0.0
+        s = (inputs["prev.h"].data @ params.u_rec.data
+             + (inputs["below_z"].data * inputs["below_h"].data) @ params.w_bot.data)
+        if not top:
+            s += (inputs["prev.z"].data * inputs["above_h"].data) @ params.u_top.data
+        params.bias.data[0, 4 * HIDDEN] = -0.5 * (s[0, 4 * HIDDEN] + s[2, 4 * HIDDEN])
+        noise = hc.BoundaryNoise.sample((batch, 1), rng)
+        noise.b.data[[0, 2]] = noise.a.data[[0, 2]]  # noise cancels on those two rows
+        weights = [rng.normal(size=(batch, HIDDEN)), rng.normal(size=(batch, HIDDEN)),
+                   rng.normal(size=(batch, 1)), rng.normal(size=(batch, 1))]
+        return params, inputs, noise, weights
+
+    def _run(self, step_fn, params, inputs, noise, weights, **kw):
+        leaves = dict(zip(("u_rec", "u_top", "w_bot", "bias"),
+                          [params.u_rec, params.u_top, params.w_bot, params.bias]))
+        leaves.update(inputs)
+        leaves = {name: t for name, t in leaves.items() if t is not None}
+        ad.zero_grad(leaves.values())
+        prev = hc.LayerState(c=inputs["prev.c"], h=inputs["prev.h"], z=inputs["prev.z"])
+        state = step_fn(prev, inputs["below_h"], inputs["below_z"], inputs["above_h"], params,
+                        noise=noise, **kw)
+        outs = [state.c, state.h, state.z, state.z_logit]
+        loss = None
+        for out, w in zip(outs, weights):
+            term = ad.sum_(out * Tensor(w))
+            loss = term if loss is None else loss + term
+        ad.backward(loss)
+        grads = {name: np.zeros(t.shape) if t.grad is None else t.grad.copy()
+                 for name, t in leaves.items()}
+        return [o.data.copy() for o in outs], grads
+
+    @pytest.mark.parametrize("top", [False, True], ids=["middle", "top"])
+    @pytest.mark.parametrize("hidden_tanh", [True, False], ids=["tanh", "literal"])
+    @pytest.mark.parametrize("mode", sorted(BOUNDARY_MODES))
+    def test_values_bitwise_and_gradients_within_1e12(self, mode, hidden_tanh, top):
+        kw = dict(BOUNDARY_MODES[mode], hidden_tanh=hidden_tanh)
+        params, inputs, noise, weights = self._case(top, relaxed=(mode == "soft"))
+        fused_out, fused_grads = self._run(hc.step, params, inputs, noise, weights, **kw)
+        ref_out, ref_grads = self._run(reference_step, params, inputs, noise, weights, **kw)
+        for got, want in zip(fused_out, ref_out):
+            assert np.array_equal(got, want)
+        if mode in ("noisy", "deterministic"):
+            # the batch must hold both bit values, or half the boundary path is unseen
+            assert set(np.unique(fused_out[2] > 0)) == {False, True}
+        assert fused_grads.keys() == ref_grads.keys()
+        for name, want in ref_grads.items():
+            scale = max(float(np.max(np.abs(want))), 1e-300)
+            assert float(np.max(np.abs(fused_grads[name] - want))) <= 1e-12 * scale, name
+        # gradient must reach the incoming bits, or this comparison would
+        # check nothing there
+        assert np.any(ref_grads["below_z"]) and np.any(ref_grads["prev.z"])
+
+
+class TestFusionGuard:
+    def test_hard_training_step_records_at_most_six_tape_nodes(self):
+        rng = np.random.default_rng(32)
+        params = make_params(rng)
+        prev = hc.LayerState(c=Tensor(rng.normal(size=(2, HIDDEN)), requires_grad=True),
+                             h=Tensor(rng.normal(size=(2, HIDDEN)), requires_grad=True),
+                             z=Tensor([[0.0], [1.0]], requires_grad=True))
+        below_h = Tensor(rng.normal(size=(2, BELOW)), requires_grad=True)
+        below_z = Tensor([[1.0], [1.0]], requires_grad=True)
+        above_h = Tensor(rng.normal(size=(2, HIDDEN)), requires_grad=True)
+        state = hc.step(prev, below_h, below_z, above_h, params, rng=rng)
+        ops, stack, seen = 0, [state.c, state.h, state.z, state.z_logit], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._parents:
+                ops += 1
+                stack.extend(node._parents)
+        assert 3 <= ops <= 6

@@ -348,6 +348,30 @@ class TestCheckpoint:
         for pa, pb in zip(a.step_probs, b.step_probs):
             assert np.array_equal(pa.data, pb.data)
 
+    def test_reloaded_model_reads_the_loaded_tensors(self, tmp_path):
+        # the per-layer and attention parameter objects are built once; a
+        # load writes each tensor's data in place, so they must still be
+        # the very tensors in ``params``
+        model = tiny_model(13, attention="gumbel-adaptive", layers=3)
+        path = tmp_path / "model.hman"
+        model.save(path)
+        loaded = hm.load_checkpoint(path)[0]
+        for layer in range(1, 4):
+            lp = loaded.layer_params(layer)
+            assert lp.u_rec is loaded.params[f"layer{layer}.u_rec"]
+            assert lp.w_bot is loaded.params[f"layer{layer}.w_bot"]
+            assert lp.bias is loaded.params[f"layer{layer}.bias"]
+            if layer < 3:
+                assert lp.u_top is loaded.params[f"layer{layer}.u_top"]
+            else:
+                assert lp.u_top is None
+            assert np.array_equal(lp.u_rec.data, model.params[f"layer{layer}.u_rec"].data)
+        ap = loaded.attention_params()
+        assert ap.w_loc is loaded.params["attn.w_loc"]
+        assert ap.w_temp is loaded.params["attn.w_temp"]
+        assert ap.b_temp is loaded.params["attn.b_temp"]
+        assert np.array_equal(ap.w_loc.data, model.params["attn.w_loc"].data)
+
     def test_truncated_file_reports_position(self, tmp_path):
         path = tmp_path / "model.hman"
         tiny_model(14).save(path)
