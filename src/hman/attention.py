@@ -3,7 +3,8 @@
 Three mechanisms share the same scoring head (one weight row per grid
 location, scored against the previous first-layer hidden state):
 
-* soft: convex mixture under a location softmax, fully differentiable;
+* soft: convex mixture under a location softmax, fully differentiable,
+  run as one tape op with a hand-written backward;
 * gumbel-hard: one-hot sample via Gumbel-softmax + straight-through,
   with a constant or state-adaptive temperature;
 * reinforce-hard: categorical sample whose score-function surrogate
@@ -40,7 +41,9 @@ class AttentionResult:
     ``weights`` rows sum to 1 (exactly one-hot for the hard variants);
     ``attended`` is always the weights-mixed feature, which for one-hot
     weights is a selection.  ``tau`` records the temperature actually
-    used, for logging.
+    used, for logging.  Soft attention's weights are a record of its
+    fused op and carry no gradient; its gradient flows through
+    ``attended``.
     """
 
     weights: Tensor                      # (B, K*K)
@@ -57,11 +60,34 @@ def location_scores(h1_prev: Tensor, params: AttentionParams) -> Tensor:
 def soft_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams) -> AttentionResult:
     """Location softmax of the previous layer-1 hidden state, then expectation.
 
-    ``h1_prev`` is (B, d), ``features`` is (B, K*K, D).
+    ``h1_prev`` is (B, d), ``features`` is (B, K*K, D).  The scores, the
+    softmax and the mix run as one tape op that repeats the arithmetic
+    of ``location_scores``, ``autodiff.softmax`` and ``autodiff.attend_mix``
+    in their order, so its values are theirs bitwise.
     """
-    weights = ad.softmax(location_scores(h1_prev, params), axis=-1)
-    attended = ad.attend_mix(weights, features)
-    return AttentionResult(weights=weights, attended=attended)
+    w_loc = params.w_loc
+    if h1_prev.ndim != 2 or w_loc.ndim != 2 or features.ndim != 3 \
+            or h1_prev.shape[1] != w_loc.shape[1] \
+            or features.shape[:2] != (h1_prev.shape[0], w_loc.shape[0]):
+        raise ad.DimensionError(f"soft attention shapes incompatible: state {h1_prev.shape}, "
+                                f"score rows {w_loc.shape}, features {features.shape}")
+    scores = h1_prev.data @ np.ascontiguousarray(w_loc.data.T)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    weights = e / np.sum(e, axis=-1, keepdims=True)
+
+    def backward_fn(g: np.ndarray) -> None:
+        g_weights = np.einsum("bd,bkd->bk", g, features.data)
+        g_scores = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+        if h1_prev.requires_grad:
+            ad._accumulate(h1_prev, g_scores @ w_loc.data)
+        if w_loc.requires_grad:
+            ad._accumulate(w_loc, (h1_prev.data.T @ g_scores).T)
+        if features.requires_grad:
+            ad._accumulate(features, np.einsum("bk,bd->bkd", weights, g))
+
+    attended = Tensor._from_op(np.einsum("bk,bkd->bd", weights, features.data),
+                               (h1_prev, w_loc, features), backward_fn)
+    return AttentionResult(weights=Tensor(weights), attended=attended)
 
 
 def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams,

@@ -6,7 +6,9 @@ Every learnable computation in this package is expressed through the
 * row-major dense float64 storage backed by numpy,
 * gradients accumulate by summation; callers zero them between steps,
 * a :class:`Tape` built on demand replays adjoints in reverse
-  topological order when ``backward`` is called on a scalar loss.
+  topological order when ``backward`` is called on a scalar loss,
+* an op with several outputs returns one array; :func:`read` gives each
+  output as a view of it that records no tape node of its own.
 
 Broadcasting in elementwise ops follows numpy rules (adjoints are
 summed back over broadcast axes); the cases relied on throughout the
@@ -72,7 +74,8 @@ class Tensor:
     ``backward`` the grad of any leaf is the sum over all of its uses.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward_fn", "_backward_ran")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward_fn", "_backward_ran",
+                 "_owner")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(values)
@@ -82,6 +85,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._backward_ran = False
+        self._owner: Tensor | None = None  # the op output this tensor reads; see read()
 
     # -- construction ---------------------------------------------------
 
@@ -94,6 +98,7 @@ class Tensor:
         out.grad = None
         out.name = None
         out._backward_ran = False
+        out._owner = None
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -193,7 +198,9 @@ class Tape:
     """Reverse-topological record of the ops reachable from a root tensor.
 
     Replaying adjoints over ``nodes`` in reverse order yields exact
-    chain-rule gradients; parents always precede their consumers.
+    chain-rule gradients; parents always precede their consumers.  A
+    parent made by :func:`read` is not a node: the walk continues at its
+    owner, whose grad already holds the read's adjoint.
     """
 
     def __init__(self, root: Tensor):
@@ -211,7 +218,7 @@ class Tape:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                stack.append((parent, False))
+                stack.append((parent if parent._owner is None else parent._owner, False))
 
     def replay_adjoints(self) -> None:
         self.root.grad = np.ones_like(self.root.data)
@@ -414,16 +421,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = _ensure_tensor(a)
-    data = a.data.reshape(shape)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.shape))
-
-    return Tensor._from_op(np.ascontiguousarray(data), (a,), backward_fn)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = [_ensure_tensor(t) for t in tensors]
     if not tensors:
@@ -439,6 +436,34 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             _accumulate(t, g[tuple(idx)])
 
     return Tensor._from_op(data, tuple(tensors), backward_fn)
+
+
+def read(owner: Tensor, index) -> Tensor:
+    """One output of a multi-output op: ``owner.data[index]`` as a view.
+
+    ``index`` must be a basic index (integers and slices), so the read
+    shares memory with ``owner``.  It records no tape node: its ``grad``
+    is the same view of ``owner.grad``, which is allocated here as
+    zeros, so every adjoint accumulated into the read lands in the
+    owner's, and :class:`Tape` walks to ``owner`` instead.  Neither grad
+    may be reset while the graph is in use.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = owner.data[index]
+    out.name = None
+    out._parents = ()
+    out._backward_fn = None
+    out._backward_ran = False
+    out.requires_grad = owner.requires_grad
+    if owner.requires_grad:
+        if owner.grad is None:
+            owner.grad = np.zeros(owner.data.shape)
+        out.grad = owner.grad[index]
+        out._owner = owner
+    else:
+        out.grad = None
+        out._owner = None
+    return out
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:

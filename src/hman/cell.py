@@ -19,8 +19,9 @@ also a lower-layer boundary and no layer recomputes its state more often
 than the layer below it.
 
 A step records three fused tape ops, each with a hand-written backward
-(the fused-RNN idea of Appleyard et al., arXiv 1604.01946), plus the
-slices that read their outputs:
+(the fused-RNN idea of Appleyard et al., arXiv 1604.01946).  The step's
+outputs c, h and the boundary pre-activation are ``autodiff.read`` views
+of those ops, which record no node of their own:
 
 * ``_preactivation``: s = h_prev@U_rec + (z_below*h_below)@W_bot + bias
   (+ (z_prev*h_above)@U_top), added in that order.  It keeps the masked
@@ -32,9 +33,10 @@ slices that read their outputs:
   the thresholding passes its adjoint unchanged, so ``pre`` receives
   g*z_below*y*(1-y)/tau and ``z_below`` receives g*bit.
 * ``_state``: the [i|f|o|g] gates and the UPDATE/COPY/FLUSH multiplex,
-  returning [c|h].  It keeps the gate activations, i*g, f*c_prev + i*g,
-  tanh(c) (or c) and o*tanh(c), and the (B, 1) branch weights; its
-  backward reaches s, c_prev, h_prev, z_prev and z_below.
+  returning c and h stacked as one (2, B, hidden) array.  It keeps the
+  gate activations, i*g, f*c_prev + i*g, tanh(c) (or c) and o*tanh(c),
+  and the (B, 1) branch weights; its backward reaches s, c_prev, h_prev,
+  z_prev and z_below.
 
 Each op repeats the element-wise arithmetic of the op-by-op form in the
 same order, so forward values are bitwise those of composing ``autodiff``
@@ -103,6 +105,17 @@ class BoundaryNoise:
     @classmethod
     def sample(cls, shape, rng: np.random.Generator) -> "BoundaryNoise":
         return cls(st.sample_gumbel(shape, rng), st.sample_gumbel(shape, rng))
+
+    @classmethod
+    def sample_layers(cls, layers: int, batch: int,
+                      rng: np.random.Generator) -> list["BoundaryNoise"]:
+        """The noise of ``layers`` stacked layers' (batch, 1) bits in one draw.
+
+        It consumes the stream that ``layers`` calls of :meth:`sample`, in
+        layer order, would consume, and gives the same values.
+        """
+        g = st.sample_gumbel((layers, 2, batch, 1), rng).data
+        return [cls(Tensor(g[layer, 0]), Tensor(g[layer, 1])) for layer in range(layers)]
 
 
 def init_layer_params(hidden: int, below_dim: int, above_dim: int | None,
@@ -204,7 +217,8 @@ def _boundary(pre: Tensor, below_z: Tensor, noise_a, noise_b, tau: float,
 
 def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
            hidden_tanh: bool) -> Tensor:
-    """The gates and the UPDATE/COPY/FLUSH multiplex as one tape op, giving [c|h]."""
+    """The gates and the UPDATE/COPY/FLUSH multiplex as one tape op, giving c and h
+    stacked along a new first axis."""
     n = hidden
     c_prev, h_prev, z_prev = prev.c, prev.h, prev.z
     gates = 0.5 * (np.tanh(0.5 * s.data[:, :3 * n]) + 1.0)  # [i | f | o]
@@ -216,13 +230,14 @@ def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
     update_c = f * c_prev.data + flush_c
     update_w = not_zp * zb
     copy_mask = not_zp * (1.0 - zb)
-    c = zp * flush_c + update_w * update_c + copy_mask * c_prev.data
+    ch = np.empty((2, s.shape[0], n))
+    c = np.add(zp * flush_c + update_w * update_c, copy_mask * c_prev.data, out=ch[0])
     squashed = np.tanh(c) if hidden_tanh else c
     active_h = o * squashed
-    h = (1.0 - copy_mask) * active_h + copy_mask * h_prev.data
+    np.add((1.0 - copy_mask) * active_h, copy_mask * h_prev.data, out=ch[1])
 
     def backward_fn(grad: np.ndarray) -> None:
-        gc, gh = grad[:, :n], grad[:, n:]
+        gc, gh = grad
         d_active = gh * (1.0 - copy_mask)
         d_squashed = d_active * o
         dc = gc + (d_squashed * (1.0 - squashed * squashed) if hidden_tanh else d_squashed)
@@ -249,8 +264,7 @@ def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
             ad._accumulate(below_z, ad._unbroadcast((d_update_w - d_copy) * not_zp,
                                                     below_z.shape))
 
-    return Tensor._from_op(np.concatenate([c, h], axis=-1),
-                           (s, c_prev, h_prev, z_prev, below_z), backward_fn)
+    return Tensor._from_op(ch, (s, c_prev, h_prev, z_prev, below_z), backward_fn)
 
 
 def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
@@ -295,7 +309,7 @@ def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
                 f"{params.u_top.shape}")
 
     s = _preactivation(prev, below_h, below_z, above_h_prev, params)
-    z_pre = ad.slice_cols(s, 4 * hidden, 4 * hidden + 1)
+    z_pre = ad.read(s, (slice(None), slice(4 * hidden, 4 * hidden + 1)))
 
     if force_z is not None:
         z = Tensor(np.full((s.shape[0], 1), float(force_z))) * below_z
@@ -310,5 +324,4 @@ def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
                       soft=soft_boundaries)
 
     ch = _state(s, prev, below_z, hidden, hidden_tanh)
-    return LayerState(c=ad.slice_cols(ch, 0, hidden), h=ad.slice_cols(ch, hidden, 2 * hidden),
-                      z=z, z_logit=z_pre)
+    return LayerState(c=ad.read(ch, 0), h=ad.read(ch, 1), z=z, z_logit=z_pre)

@@ -218,6 +218,26 @@ def _check_soft_attention(rng):
     return build, [params.w_loc, h]
 
 
+@register("sequence-head")
+def _check_sequence_head(rng):
+    from . import model as hm
+
+    steps, layers, batch, width, classes = 3, 2, 2, 3, 4
+    h = Tensor(rng.normal(size=(steps, layers, batch, width)), requires_grad=True)
+    w = Tensor(rng.normal(size=(layers * width, classes)), requires_grad=True)
+    b = Tensor(rng.normal(size=(1, classes)), requires_grad=True)
+    labels = rng.integers(0, classes, size=batch)
+
+    def build():
+        # the head reads h as the model's does: one view per step and layer
+        reads = [ad.read(h, (t, layer)) for t in range(steps) for layer in range(layers)]
+        stacked = h.data.transpose(0, 2, 1, 3).reshape(steps, batch, layers * width)
+        probs = hm._sequence_head(stacked, reads, w, b)
+        return ad.sum_(hm.sequence_log_likelihood(probs, labels))
+
+    return build, [h, w, b]
+
+
 @register("cell-update")
 def _check_cell_update(rng):
     return _cell_branch_check(rng, z_prev=0.0, below_z=1.0)

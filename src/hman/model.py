@@ -1,10 +1,14 @@
 """The full hierarchical multi-scale attention network.
 
 Per time step: attend over the K*K feature grid using the previous
-first-layer hidden state, run the layer stack bottom-up (each layer
-reads the layer below at t and the layer above at t-1), concatenate the
-per-layer hidden states, and classify through an affine head + softmax.
-The sequence loss is per-step cross entropy against the clip label.
+first-layer hidden state, draw the boundary noise of every layer at
+once, and run the layer stack bottom-up (each layer reads the layer
+below at t and the layer above at t-1).  The concatenated per-layer
+hidden states of every step are then classified through an affine head
++ softmax.  The sequence loss is per-step cross entropy against the clip
+label, summed over steps.  The head, the sequence log-likelihood and
+the boundary loss each run once per sequence, as one tape op over all
+steps with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ class ModelConfig:
 class BatchOutput:
     """Everything the trainer needs from one batched forward pass."""
 
-    step_probs: list[Tensor]               # per t: (B, C)
+    step_probs: Tensor                     # (T, B, C) class probabilities of every step
     attention: list[at.AttentionResult]    # per t
     z_history: np.ndarray                  # (T, L, B)
     update_mask: np.ndarray                # (T, L, B); 1 where the layer recomputed state
@@ -90,7 +94,7 @@ class BatchOutput:
 
     def mean_probs(self) -> np.ndarray:
         """Per-sample class probabilities averaged over time steps."""
-        return np.mean([p.data for p in self.step_probs], axis=0)
+        return np.mean(self.step_probs.data, axis=0)
 
 
 class HMAN:
@@ -196,22 +200,26 @@ class HMAN:
         ones = Tensor(np.ones((batch, 1)))
         reinforce = cfg.attention == "reinforce" and train
         adaptive = cfg.attention == "gumbel-adaptive"
-        out = BatchOutput(step_probs=[], attention=[],
-                          z_history=np.zeros((steps, cfg.layers, batch)),
-                          update_mask=np.zeros((steps, cfg.layers, batch)),
-                          log_probs=[] if reinforce else None,
-                          taus=[] if adaptive and train else None,
-                          z_logits=[[] for _ in range(cfg.layers)])
-        head_w, head_b = self.params["head.w"], self.params["head.b"]
+        draws_z = cfg.force_z is None and not deterministic_z
+        attention: list[at.AttentionResult] = []
+        log_probs: list[Tensor] | None = [] if reinforce else None
+        taus: list[np.ndarray] | None = [] if adaptive and train else None
+        z_history = np.zeros((steps, cfg.layers, batch))
+        update_mask = np.zeros((steps, cfg.layers, batch))
+        z_logits: list[list[Tensor]] = [[] for _ in range(cfg.layers)]
+        stacked = np.empty((steps, batch, cfg.layers * cfg.hidden))  # [h1|...|hL] per step
+        head_inputs: list[Tensor] = []  # the tensors copied into ``stacked``, step-major
 
         for t in range(steps):
             feats = Tensor(x[:, t])
             result = self._attend(states[0].h, feats, rng, train, soft_attention_sample)
-            out.attention.append(result)
+            attention.append(result)
             if reinforce:
-                out.log_probs.append(result.log_prob)
-            if out.taus is not None and result.tau is not None:
-                out.taus.append(np.asarray(result.tau).reshape(-1))
+                log_probs.append(result.log_prob)
+            if taus is not None and result.tau is not None:
+                taus.append(np.asarray(result.tau).reshape(-1))
+            noises = hc.BoundaryNoise.sample_layers(cfg.layers, batch, rng) if draws_z \
+                else [None] * cfg.layers
 
             below_h, below_z = result.attended, ones
             new_states = []
@@ -219,21 +227,23 @@ class HMAN:
                 above = states[idx + 1].h if idx + 1 < cfg.layers else None
                 prev = states[idx]
                 state = hc.step(prev, below_h, below_z, above, self.layer_params(idx + 1),
-                                rng=rng, tau=cfg.boundary_tau,
+                                noise=noises[idx], rng=rng, tau=cfg.boundary_tau,
                                 soft_boundaries=soft_boundaries,
                                 deterministic=deterministic_z,
                                 hidden_tanh=cfg.cell_hidden_tanh,
                                 force_z=cfg.force_z)
-                out.z_history[t, idx] = state.z.data[:, 0]
-                out.update_mask[t, idx] = 1.0 - (1.0 - prev.z.data[:, 0]) * (1.0 - below_z.data[:, 0])
-                out.z_logits[idx].append(state.z_logit)
+                z_history[t, idx] = state.z.data[:, 0]
+                update_mask[t, idx] = 1.0 - (1.0 - prev.z.data[:, 0]) * (1.0 - below_z.data[:, 0])
+                z_logits[idx].append(state.z_logit)
                 new_states.append(state)
                 below_h, below_z = state.h, state.z
             states = new_states
-            stacked = ad.concat([s.h for s in states], axis=-1)
-            probs = ad.softmax(stacked @ head_w + head_b, axis=-1)
-            out.step_probs.append(probs)
-        return out
+            np.concatenate([s.h.data for s in states], axis=-1, out=stacked[t])
+            head_inputs.extend(s.h for s in states)
+        probs = _sequence_head(stacked, head_inputs, self.params["head.w"], self.params["head.b"])
+        return BatchOutput(step_probs=probs, attention=attention, z_history=z_history,
+                           update_mask=update_mask, log_probs=log_probs, taus=taus,
+                           z_logits=z_logits)
 
     def predict_video(self, blocks: list[np.ndarray],
                       rng: np.random.Generator | None = None) -> tuple[int, np.ndarray]:
@@ -297,24 +307,65 @@ def score_clips(model: HMAN, clips: list[list[np.ndarray]],
     return scores
 
 
-def sequence_log_likelihood(step_probs: list[Tensor], labels: np.ndarray) -> Tensor:
+def _sequence_head(stacked: np.ndarray, hidden: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
+    """softmax(stacked @ w + b) for every step as one tape op, giving (T, B, C).
+
+    ``stacked`` is the (T, B, L*H) array of [h1|...|hL] per step and
+    ``hidden`` the T*L tensors copied into it, step-major.  ``np.matmul``
+    runs one (B, L*H) product per step, the BLAS call of a per-step head,
+    and the softmax reduces each row alone, so the probabilities are
+    bitwise those of classifying one step at a time.
+    """
+    logits = np.matmul(stacked, w.data) + b.data
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    probs = e / np.sum(e, axis=-1, keepdims=True)
+    layers = len(hidden) // stacked.shape[0]
+    width = stacked.shape[-1] // layers
+
+    def backward_fn(g: np.ndarray) -> None:
+        g_logits = probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
+        rows = g_logits.reshape(-1, g_logits.shape[-1])
+        if w.requires_grad:
+            ad._accumulate(w, stacked.reshape(-1, stacked.shape[-1]).T @ rows)
+        ad._accumulate(b, rows.sum(axis=0, keepdims=True))
+        g_stacked = g_logits @ w.data.T
+        for k, h in enumerate(hidden):
+            if h.requires_grad:
+                t, layer = divmod(k, layers)
+                ad._accumulate(h, g_stacked[t, :, layer * width:(layer + 1) * width])
+
+    return Tensor._from_op(probs, [w, b, *hidden], backward_fn)
+
+
+def sequence_log_likelihood(step_probs: Tensor, labels: np.ndarray) -> Tensor:
     """Per-sequence summed log p(label): the (B, 1) episode log-likelihood.
 
-    ``step_probs`` holds (B, C) probability rows per step; ``labels``
-    is (B,) class ids.  The log is floored at 1e-12.
+    ``step_probs`` holds the (T, B, C) probabilities of every step;
+    ``labels`` is (B,) class ids.  The log is floored at 1e-12, and the
+    steps are summed in order, as one tape op.
     """
     labels = np.asarray(labels, dtype=np.intp)
-    classes = step_probs[0].shape[-1]
+    if step_probs.ndim != 3 or labels.shape != step_probs.shape[1:2]:
+        raise ad.DimensionError(f"labels of shape {labels.shape} do not match step "
+                                f"probabilities of shape {step_probs.shape}")
+    classes = step_probs.shape[-1]
     if labels.min() < 0 or labels.max() >= classes:
         raise ContractError(f"labels must lie in [0, {classes})")
-    total = None
-    for probs in step_probs:
-        term = ad.clipped_log(ad.take_rows(probs, labels), at.LOG_FLOOR)
-        total = term if total is None else total + term
-    return total
+    rows = np.arange(step_probs.shape[1])
+    picked = step_probs.data[:, rows, labels]  # (T, B)
+    clipped = np.maximum(picked, at.LOG_FLOOR)
+    total = np.add.accumulate(np.log(clipped), axis=0)[-1]  # left to right, like t = 0, 1, ...
+
+    def backward_fn(g: np.ndarray) -> None:
+        if step_probs.requires_grad:
+            full = np.zeros(step_probs.shape)
+            full[:, rows, labels] = g[:, 0] * (picked >= at.LOG_FLOOR) / clipped
+            ad._accumulate(step_probs, full)
+
+    return Tensor._from_op(total[:, None], (step_probs,), backward_fn)
 
 
-def batch_sequence_loss(step_probs: list[Tensor], labels: np.ndarray) -> Tensor:
+def batch_sequence_loss(step_probs: Tensor, labels: np.ndarray) -> Tensor:
     """Batch mean of the per-sequence summed cross entropy."""
     return -ad.mean(sequence_log_likelihood(step_probs, labels))
 
@@ -345,18 +396,29 @@ def boundary_loss(z_logits: list[list[Tensor]], targets: np.ndarray) -> Tensor:
     evaluation rule sigmoid(pre) >= 0.5 is learnt to fire where a
     boundary is likelier than its base rate, not only where it is
     likelier than not.  Summed over steps and layers and averaged over
-    the batch, like :func:`batch_sequence_loss`.
+    the batch, like :func:`batch_sequence_loss`, as one tape op.
     """
     count, positives = targets.size, float(targets.sum())
     weights = np.where(targets > 0, 0.5 * count / max(positives, 1.0),
                        0.5 * count / max(count - positives, 1.0))
-    w, wy = Tensor(weights), Tensor(weights * targets)
+    weighted_targets = weights * targets
+    batch = targets.shape[0]
+    logits = [np.concatenate([z.data for z in layer], axis=-1) for layer in z_logits]  # (B, T)
     total = None
-    for layer in z_logits:
-        a = ad.concat(layer, axis=-1)
-        term = ad.sum_(w * ad.softplus(a) - wy * a)
+    for a in logits:
+        term = np.sum(weights * np.logaddexp(0.0, a) - weighted_targets * a)
         total = term if total is None else total + term
-    return total / targets.shape[0]
+
+    def backward_fn(g: np.ndarray) -> None:
+        scale = g / batch
+        for layer, a in zip(z_logits, logits):
+            sig = 0.5 * (np.tanh(0.5 * a) + 1.0)
+            grad = scale * (weights * sig - weighted_targets)
+            for t, z in enumerate(layer):
+                ad._accumulate(z, grad[:, t:t + 1])
+
+    return Tensor._from_op(np.asarray(total / batch), [z for layer in z_logits for z in layer],
+                           backward_fn)
 
 
 # -- checkpoint format -------------------------------------------------------

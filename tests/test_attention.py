@@ -59,6 +59,53 @@ class TestSoftAttend:
             npt.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
 
+class TestFusedSoftAttention:
+    """The fused soft-attention op against its op-by-op form, which stays the oracle."""
+
+    def test_values_bitwise_and_gradients_within_1e12(self):
+        rng = np.random.default_rng(33)
+        params, h, _ = make_instance(rng, batch=5, d=3)
+        x = Tensor(rng.normal(size=(5, K2, D)), requires_grad=True)
+        v = Tensor(rng.normal(size=(5, D)))
+        leaves = {"w_loc": params.w_loc, "h": h, "features": x}
+
+        def run(attend):
+            ad.zero_grad(leaves.values())
+            weights, attended = attend()
+            ad.backward(ad.sum_(attended * v))
+            return weights.data.copy(), attended.data.copy(), \
+                {name: t.grad.copy() for name, t in leaves.items()}
+
+        def fused():
+            res = at.soft_attend(h, x, params)
+            return res.weights, res.attended
+
+        def op_by_op():
+            weights = ad.softmax(at.location_scores(h, params), axis=-1)
+            return weights, ad.attend_mix(weights, x)
+
+        got_w, got_a, got_grads = run(fused)
+        want_w, want_a, want_grads = run(op_by_op)
+        assert np.array_equal(got_w, want_w) and np.array_equal(got_a, want_a)
+        for name, want in want_grads.items():
+            scale = float(np.max(np.abs(want)))
+            assert scale > 0 and float(np.max(np.abs(got_grads[name] - want))) <= 1e-12 * scale, name
+
+    def test_records_one_tape_node(self):
+        rng = np.random.default_rng(34)
+        params, h, x = make_instance(rng)
+        attended = at.soft_attend(h, x, params).attended
+        assert [n for n in ad.Tape(attended).nodes if n._parents] == [attended]
+
+    def test_shape_mismatch_is_dimension_error(self):
+        rng = np.random.default_rng(35)
+        params, h, x = make_instance(rng)
+        with pytest.raises(ad.DimensionError, match="soft attention"):
+            at.soft_attend(h, Tensor(x.data[:, :-1]), params)
+        with pytest.raises(ad.DimensionError, match="soft attention"):
+            at.soft_attend(Tensor(h.data[:, :-1]), x, params)
+
+
 class TestGumbelHardAttend:
     def test_zero_noise_selects_argmax(self):
         feats = np.arange(K2 * D, dtype=float).reshape(K2, D)

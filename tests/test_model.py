@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from hman import autodiff as ad
+from hman import cell as hc
 from hman import data as hd
 from hman import model as hm
 from hman import training as ht
@@ -43,15 +44,15 @@ class TestForward:
             p.data[...] = 0.0
         out = model.forward_batch(np.random.default_rng(1).normal(size=(1, 1, K2, FEAT)),
                                   rng=np.random.default_rng(2), train=True)
-        npt.assert_allclose(out.step_probs[0].data, 1.0 / CLASSES, atol=1e-15)
+        npt.assert_allclose(out.step_probs.data[0], 1.0 / CLASSES, atol=1e-15)
 
     def test_step_probabilities_are_distributions(self):
         rng = np.random.default_rng(3)
         model = tiny_model(1)
         out = model.forward_batch(rng.normal(size=(3, 5, K2, FEAT)), rng=rng, train=True)
-        for probs in out.step_probs:
-            assert np.all(probs.data >= 0)
-            npt.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-12)
+        for probs in out.step_probs.data:
+            assert np.all(probs >= 0)
+            npt.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_boundary_raster_is_binary_and_layer1_always_recomputes(self):
         rng = np.random.default_rng(4)
@@ -66,8 +67,8 @@ class TestForward:
         x = rng.normal(size=(2, 4, K2, FEAT))
         a = model.forward_batch(x, train=False)
         b = model.forward_batch(x, train=False)
-        for pa, pb in zip(a.step_probs, b.step_probs):
-            assert np.array_equal(pa.data, pb.data)
+        for pa, pb in zip(a.step_probs.data, b.step_probs.data):
+            assert np.array_equal(pa, pb)
         assert np.array_equal(a.z_history, b.z_history)
 
     def test_training_forward_reproducible_with_same_stream(self):
@@ -75,8 +76,8 @@ class TestForward:
         x = np.random.default_rng(6).normal(size=(2, 4, K2, FEAT))
         a = model.forward_batch(x, rng=np.random.default_rng(9), train=True)
         b = model.forward_batch(x, rng=np.random.default_rng(9), train=True)
-        for pa, pb in zip(a.step_probs, b.step_probs):
-            assert np.array_equal(pa.data, pb.data)
+        for pa, pb in zip(a.step_probs.data, b.step_probs.data):
+            assert np.array_equal(pa, pb)
 
     def test_shape_mismatch_is_config_error(self):
         model = tiny_model()
@@ -93,8 +94,8 @@ class TestForward:
         rng = np.random.default_rng(7)
         model = tiny_model(5, layers=2)
         out = model.forward_batch(rng.normal(size=(4, K2, FEAT))[None], train=False)
-        assert len(out.step_probs) == len(out.attention) == 4
-        for probs, res in zip(out.step_probs, out.attention):
+        assert len(out.step_probs.data) == len(out.attention) == 4
+        for probs, res in zip(out.step_probs.data, out.attention):
             assert probs.shape == (1, CLASSES)
             assert res.weights.shape == (1, K2)
         assert out.z_history.shape == (4, 2, 1)
@@ -174,7 +175,7 @@ class TestLstmLikeConfiguration:
             c = i * g  # forced boundaries: the memory restarts every step
             h_prev = o * np.tanh(c)
             probs = np_softmax(h_prev @ head_w + head_b)
-            npt.assert_allclose(out.step_probs[t].data, probs, atol=1e-12)
+            npt.assert_allclose(out.step_probs.data[t], probs, atol=1e-12)
             assert out.z_history[t, 0, 0] == 1.0
 
     def test_single_layer_requires_forced_boundaries(self):
@@ -186,7 +187,7 @@ class TestLstmLikeConfiguration:
 class TestSequenceLoss:
     def _loss(self, prob_rows, label):
         """Summed cross entropy of one clip: a batch of one row per step."""
-        probs = [Tensor(np.asarray(row, dtype=float)[None]) for row in prob_rows]
+        probs = Tensor(np.asarray(prob_rows, dtype=float)[:, None])
         return hm.batch_sequence_loss(probs, np.array([label])).item()
 
     def test_perfect_predictions_give_zero(self):
@@ -209,14 +210,145 @@ class TestSequenceLoss:
 
     def test_batch_loss_is_minus_mean_of_log_likelihood_rows(self):
         rng = np.random.default_rng(13)
-        probs = [Tensor(np_softmax(rng.normal(size=(3, CLASSES)))) for _ in range(4)]
+        probs = Tensor(np.stack([np_softmax(rng.normal(size=(3, CLASSES))) for _ in range(4)]))
         labels = np.array([0, 3, 1])
         rows = hm.sequence_log_likelihood(probs, labels).data
-        expected = [sum(np.log(p.data[b, labels[b]]) for p in probs) for b in range(3)]
+        expected = [sum(np.log(p[b, labels[b]]) for p in probs.data) for b in range(3)]
         assert rows.shape == (3, 1)
         npt.assert_allclose(rows[:, 0], expected, rtol=1e-12)
         batch = hm.batch_sequence_loss(probs, labels).item()
         assert batch == pytest.approx(-rows.mean(), rel=1e-12)
+
+
+def reference_boundary_loss(z_logits, targets):
+    """``hm.boundary_loss`` composed of ``autodiff`` primitives: the oracle of its fused op."""
+    count, positives = targets.size, float(targets.sum())
+    weights = np.where(targets > 0, 0.5 * count / max(positives, 1.0),
+                       0.5 * count / max(count - positives, 1.0))
+    w, wy = Tensor(weights), Tensor(weights * targets)
+    total = None
+    for layer in z_logits:
+        a = ad.concat(layer, axis=-1)
+        term = ad.sum_(w * ad.softplus(a) - wy * a)
+        total = term if total is None else total + term
+    return total / targets.shape[0]
+
+
+def assert_grads_within_1e12(got, want):
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        scale = float(np.max(np.abs(w)))
+        assert scale > 0 and float(np.max(np.abs(got[name] - w))) <= 1e-12 * scale, name
+
+
+class TestSequenceOps:
+    """The once-per-sequence ops against the per-step forms they replace."""
+
+    STEPS, BATCH, LAYERS, WIDTH = 5, 4, 3, 4
+
+    def _head_case(self):
+        rng = np.random.default_rng(40)
+        steps, batch, layers, width = self.STEPS, self.BATCH, self.LAYERS, self.WIDTH
+        leaves = {f"h{t}.{l}": Tensor(rng.normal(size=(batch, width)), requires_grad=True)
+                  for t in range(steps) for l in range(layers)}
+        leaves["w"] = Tensor(rng.normal(size=(layers * width, CLASSES)), requires_grad=True)
+        leaves["b"] = Tensor(rng.normal(size=(1, CLASSES)), requires_grad=True)
+        leaves["b"].data[0, 3] = -40.0  # class 3 sits below the log floor
+        labels = np.array([3, 0, 1, 3])
+        v = rng.normal(size=(steps, batch, CLASSES))
+        return leaves, labels, v
+
+    def _run_head(self, per_step):
+        leaves, labels, v = self._head_case()
+        steps, layers = self.STEPS, self.LAYERS
+        hs = [[leaves[f"h{t}.{l}"] for l in range(layers)] for t in range(steps)]
+        w, b = leaves["w"], leaves["b"]
+        if per_step:
+            probs = [ad.softmax(ad.concat(h, axis=-1) @ w + b, axis=-1) for h in hs]
+            ll = None
+            for p in probs:
+                term = ad.clipped_log(ad.take_rows(p, labels), 1e-12)
+                ll = term if ll is None else ll + term
+            spread = None
+            for p, vt in zip(probs, v):
+                term = ad.sum_(p * Tensor(vt))
+                spread = term if spread is None else spread + term
+            probs_data = np.stack([p.data for p in probs])
+        else:
+            stacked = np.stack([np.concatenate([h.data for h in row], axis=-1) for row in hs])
+            probs = hm._sequence_head(stacked, [h for row in hs for h in row], w, b)
+            ll = hm.sequence_log_likelihood(probs, labels)
+            spread = ad.sum_(probs * Tensor(v))
+            probs_data = probs.data
+        ad.backward(ad.sum_(ll) + spread)
+        return probs_data, ll.data, {name: t.grad for name, t in leaves.items()}
+
+    def test_head_and_log_likelihood_match_per_step_form(self):
+        got_probs, got_ll, got_grads = self._run_head(per_step=False)
+        want_probs, want_ll, want_grads = self._run_head(per_step=True)
+        assert np.array_equal(got_probs, want_probs)
+        assert np.array_equal(got_ll, want_ll)
+        assert np.any(want_probs[:, :, 3] < 1e-12)  # the floor is active somewhere
+        assert_grads_within_1e12(got_grads, want_grads)
+
+    def test_log_likelihood_rejects_labels_of_another_batch(self):
+        probs = Tensor(np.full((2, 3, CLASSES), 1.0 / CLASSES))
+        with pytest.raises(ad.DimensionError):
+            hm.sequence_log_likelihood(probs, np.array([0]))
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_boundary_loss_matches_its_composition(self, layers):
+        rng = np.random.default_rng(41 + layers)
+        steps, batch = 6, 3
+        values = rng.normal(scale=3.0, size=(layers, steps, batch, 1))
+        targets = (rng.random((batch, steps)) < 0.3).astype(float)
+        targets[0, 1] = 1.0
+
+        def run(loss_fn):
+            leaves = [[Tensor(values[l, t], requires_grad=True) for t in range(steps)]
+                      for l in range(layers)]
+            loss = loss_fn(leaves, targets)
+            ad.backward(loss)
+            return loss.data, {f"{l}.{t}": leaves[l][t].grad
+                               for l in range(layers) for t in range(steps)}
+
+        got, got_grads = run(hm.boundary_loss)
+        want, want_grads = run(reference_boundary_loss)
+        assert got.size == want.size == 1 and got.item() == want.item()
+        assert_grads_within_1e12(got_grads, want_grads)
+
+
+class TestTapeSize:
+    def test_acceptance_training_step_records_at_most_250_nodes(self):
+        rng = np.random.default_rng(42)
+        model = hm.HMAN(hm.ModelConfig(layers=3, hidden=10, grid_side=4, feat_dim=16, classes=8),
+                        np.random.default_rng(0))
+        x = rng.normal(size=(16, 22, 16, 16))
+        out = model.forward_batch(x, rng=rng, train=True)
+        loss = hm.batch_sequence_loss(out.step_probs, rng.integers(0, 8, size=16)) \
+            + hm.boundary_loss(out.z_logits, hm.boundary_targets(x))
+        assert len(ad.Tape(loss).nodes) <= 250
+
+
+class TestBoundaryNoiseStream:
+    """One draw per step for every layer's boundary noise, after attention, is the
+    stream that the per-layer draws inside ``hc.step`` consumed."""
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval-sampled"])
+    @pytest.mark.parametrize("mode", hm.ATTENTION_MODES)
+    def test_matches_per_layer_draws_bitwise(self, mode, train, monkeypatch):
+        model = tiny_model(23, layers=3, attention=mode, eval_z="sampled")
+        for layer in (1, 2, 3):  # detectors near 0.5, so the noise decides bits
+            model.params[f"layer{layer}.bias"].data[0, 4 * 5] = 0.5
+        x = np.random.default_rng(24).normal(size=(4, 7, K2, FEAT))
+        got = model.forward_batch(x, rng=np.random.default_rng(25), train=train)
+        # reference: no per-step draw, so every hc.step draws its own pair from the rng
+        monkeypatch.setattr(hc.BoundaryNoise, "sample_layers",
+                            classmethod(lambda cls, layers, batch, rng: [None] * layers))
+        want = model.forward_batch(x, rng=np.random.default_rng(25), train=train)
+        assert 0.0 < want.z_history[:, 1:].mean() < 1.0
+        assert np.array_equal(got.z_history, want.z_history)
+        assert np.array_equal(got.step_probs.data, want.step_probs.data)
 
 
 class TestBoundaryRule:
@@ -305,7 +437,7 @@ class TestPredictVideo:
         block = rng.normal(size=(1, K2, FEAT))
         predicted, probs = model.predict_video([block])
         out = model.forward_batch(block[None], train=False)
-        npt.assert_array_equal(probs, out.step_probs[0].data[0])
+        npt.assert_array_equal(probs, out.step_probs.data[0, 0])
         assert predicted == int(np.argmax(probs))
 
     def test_block_averaging_and_tie_break(self):
@@ -322,7 +454,7 @@ class TestPredictVideo:
         flat = []
         for block in blocks:
             out = model.forward_batch(block[None], train=False)
-            flat.extend(p.data[0] for p in out.step_probs)
+            flat.extend(p[0] for p in out.step_probs.data)
         npt.assert_allclose(probs, np.mean(flat, axis=0), atol=1e-14)
 
     def test_empty_blocks_rejected(self):
@@ -345,8 +477,8 @@ class TestCheckpoint:
         x = rng.normal(size=(1, 3, K2, FEAT))
         a = model.forward_batch(x, train=False)
         b = loaded.forward_batch(x, train=False)
-        for pa, pb in zip(a.step_probs, b.step_probs):
-            assert np.array_equal(pa.data, pb.data)
+        for pa, pb in zip(a.step_probs.data, b.step_probs.data):
+            assert np.array_equal(pa, pb)
 
     def test_reloaded_model_reads_the_loaded_tensors(self, tmp_path):
         # the per-layer and attention parameter objects are built once; a
@@ -420,4 +552,4 @@ class TestConfigValidation:
         x = rng.normal(size=(1, 3, K2, FEAT))
         a = tiny_model(18).forward_batch(x, train=False)
         b = tiny_model(18, cell_hidden_tanh=False).forward_batch(x, train=False)
-        assert not np.allclose(a.step_probs[-1].data, b.step_probs[-1].data)
+        assert not np.allclose(a.step_probs.data[-1], b.step_probs.data[-1])

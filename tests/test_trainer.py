@@ -227,8 +227,8 @@ class TestTrainerCheckpoint:
         x = np.random.default_rng(1).normal(size=(1, 3, 4, 6))
         a = trainer.model.forward_batch(x, train=False)
         b = restored.model.forward_batch(x, train=False)
-        for pa, pb in zip(a.step_probs, b.step_probs):
-            assert np.array_equal(pa.data, pb.data)
+        for pa, pb in zip(a.step_probs.data, b.step_probs.data):
+            assert np.array_equal(pa, pb)
 
 
 class TestEvaluate:
