@@ -13,7 +13,7 @@ location, scored against the previous first-layer hidden state):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParam
                        soft_sample: bool = False) -> AttentionResult:
     """One-hot location sample through Gumbel-softmax with straight-through.
 
-    ``tau`` is a constant or an adaptive :class:`~hman.stochastic.Temperature`.
+    ``tau`` is a constant or the (B, 1) tensor of :func:`~hman.stochastic.adaptive_tau`.
     ``deterministic`` selects the argmax location noise-free (evaluation);
     ``soft_sample`` keeps the relaxed sample as the weights (gradient
     verification only).
@@ -116,8 +116,7 @@ def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParam
     idx = np.argmax(soft.data, axis=-1)
     weights = soft if soft_sample else st.hard_onehot(soft)
     attended = ad.attend_mix(weights, features)
-    tau_value = tau.value.data.copy() if isinstance(tau, st.Temperature) and isinstance(tau.value, Tensor) \
-        else float(tau.value if isinstance(tau, st.Temperature) else tau)
+    tau_value = tau.data.copy() if isinstance(tau, Tensor) else float(tau)
     return AttentionResult(weights=weights, attended=attended, selected_index=idx, tau=tau_value)
 
 
@@ -186,9 +185,7 @@ class Baseline:
     """Moving-average reward baseline; one writer updates it per mini-batch."""
 
     value: float = 0.0
-    updates: int = field(default=0)
 
     def update(self, log_likelihood: float) -> float:
         self.value = baseline_update(self.value, log_likelihood)
-        self.updates += 1
         return self.value

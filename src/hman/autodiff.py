@@ -36,18 +36,7 @@ class ContractError(AutodiffError):
     """An operation was called outside its contract."""
 
 
-class NanGuardError(AutodiffError):
-    """A domain violation was caught while debug checks were enabled."""
-
-
-_debug_checks = False
 _grad_enabled = True
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle the NaN-guard check on division by zero."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 @contextmanager
@@ -63,8 +52,8 @@ def no_grad():
 
 
 def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return np.ascontiguousarray(arr)
+    # not ascontiguousarray, which would promote a 0-d array to shape (1,)
+    return np.asarray(values, dtype=np.float64, order="C")
 
 
 class Tensor:
@@ -289,8 +278,6 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _ensure_tensor(a), _ensure_tensor(b)
-    if _debug_checks and np.any(b.data == 0.0):
-        raise NanGuardError("division by zero")
     data = a.data / b.data
 
     def backward_fn(g: np.ndarray) -> None:

@@ -95,29 +95,6 @@ class LayerState:
     z_logit: Tensor | None = None  # (B, 1) boundary pre-activation of this step
 
 
-@dataclass
-class BoundaryNoise:
-    """The pair of independent Gumbel draws a boundary detector consumes."""
-
-    a: Tensor
-    b: Tensor
-
-    @classmethod
-    def sample(cls, shape, rng: np.random.Generator) -> "BoundaryNoise":
-        return cls(st.sample_gumbel(shape, rng), st.sample_gumbel(shape, rng))
-
-    @classmethod
-    def sample_layers(cls, layers: int, batch: int,
-                      rng: np.random.Generator) -> list["BoundaryNoise"]:
-        """The noise of ``layers`` stacked layers' (batch, 1) bits in one draw.
-
-        It consumes the stream that ``layers`` calls of :meth:`sample`, in
-        layer order, would consume, and gives the same values.
-        """
-        g = st.sample_gumbel((layers, 2, batch, 1), rng).data
-        return [cls(Tensor(g[layer, 0]), Tensor(g[layer, 1])) for layer in range(layers)]
-
-
 def init_layer_params(hidden: int, below_dim: int, above_dim: int | None,
                       rng: np.random.Generator) -> LayerParams:
     """Uniform(-1/sqrt(hidden), +1/sqrt(hidden)) matrices; forget bias +1,
@@ -269,7 +246,7 @@ def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
 
 def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
          above_h_prev: Tensor | None, params: LayerParams, *,
-         noise: BoundaryNoise | None = None, rng: np.random.Generator | None = None,
+         noise: np.ndarray | None = None, rng: np.random.Generator | None = None,
          tau: float = BOUNDARY_TAU, soft_boundaries: bool = False,
          deterministic: bool = False, hidden_tanh: bool = True,
          force_z: float | None = None) -> LayerState:
@@ -284,7 +261,8 @@ def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
     relaxed value is kept, for gradient verification) is set; the drawn
     bit is Bernoulli(sigmoid(pre)) at every ``tau``, which only shapes
     the straight-through gradient.  The bit is then masked by
-    ``below_z`` (boundaries nest).
+    ``below_z`` (boundaries nest).  ``noise`` is the (2, B, 1) pair of
+    Gumbel draws (a, b); without it the pair is drawn from ``rng``.
 
     ``hidden_tanh`` selects h = o*tanh(c); clearing it uses the literal
     h = o*c rule.
@@ -319,8 +297,8 @@ def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
         if noise is None:
             if rng is None:
                 raise ContractError("step needs either explicit boundary noise or an rng")
-            noise = BoundaryNoise.sample((s.shape[0], 1), rng)
-        z = _boundary(z_pre, below_z, noise.a.data, noise.b.data, st._tau_operand(tau),
+            noise = st.sample_gumbel((2, s.shape[0], 1), rng).data
+        z = _boundary(z_pre, below_z, noise[0], noise[1], st._tau_operand(tau),
                       soft=soft_boundaries)
 
     ch = _state(s, prev, below_z, hidden, hidden_tanh)

@@ -191,6 +191,8 @@ def _train_config_from(opts: dict) -> ht.TrainConfig:
 
 def cmd_train(args) -> int:
     opts = _resolve(args, TRAIN_OPTS, required=("data", "out"))
+    if opts["eval_every"] < 0:
+        raise ConfigError(f"--eval-every must be 0 (never) or positive, got {opts['eval_every']}")
     data_dir = Path(opts["data"])
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
@@ -220,7 +222,8 @@ def cmd_train(args) -> int:
             rates = "/".join(f"{r:.2f}" for r in metrics.update_rates)
             print(f"epoch {epoch}: loss={metrics.loss:.4f} acc={metrics.accuracy:.3f} "
                   f"lr={metrics.lr:g} update_rates={rates}")
-            trainer.save(out_dir / f"ckpt_epoch_{epoch:03d}.hman")
+            model.save(out_dir / f"ckpt_epoch_{epoch:03d}.hman",
+                       extra_scalars={"iteration": str(trainer.iteration)})
             if opts["eval_every"] and epoch % opts["eval_every"] == 0 and test_samples:
                 report = ht.evaluate(model, test_samples, block_len=train_cfg.window)
                 print(f"epoch {epoch}: test accuracy {report.accuracy:.3f}")

@@ -196,7 +196,7 @@ def _check_adaptive_tau(rng):
     b = Tensor(rng.normal(size=(1, 1)), requires_grad=True)
 
     def build():
-        return ad.sum_(st.adaptive_tau(h1, w, b).value)
+        return ad.sum_(st.adaptive_tau(h1, w, b))
 
     return build, [h1, w, b]
 
@@ -260,6 +260,7 @@ def _check_cell_literal_h(rng):
 
 def _cell_branch_check(rng, z_prev: float, below_z: float, hidden_tanh: bool = True):
     from . import cell as hc
+    from . import stochastic as st
 
     hidden, below = 3, 4
     params = hc.init_layer_params(hidden, below_dim=below, above_dim=hidden, rng=rng)
@@ -270,7 +271,7 @@ def _cell_branch_check(rng, z_prev: float, below_z: float, hidden_tanh: bool = T
     )
     below_h = Tensor(rng.normal(size=(1, below)), requires_grad=True)
     above_h = Tensor(rng.normal(size=(1, hidden)), requires_grad=True)
-    noise = hc.BoundaryNoise.sample((1, 1), rng)
+    noise = st.sample_gumbel((2, 1, 1), rng).data
 
     def build():
         state = hc.step(prev, below_h, Tensor([[below_z]]), above_h, params,
@@ -285,6 +286,7 @@ def _cell_branch_check(rng, z_prev: float, below_z: float, hidden_tanh: bool = T
 @register("cell-two-steps")
 def _check_cell_chain(rng):
     from . import cell as hc
+    from . import stochastic as st
 
     hidden, below = 3, 3
     params = hc.init_layer_params(hidden, below_dim=below, above_dim=hidden, rng=rng)
@@ -296,8 +298,8 @@ def _check_cell_chain(rng):
     below1 = Tensor(rng.normal(size=(1, below)), requires_grad=True)
     below2 = Tensor(rng.normal(size=(1, below)), requires_grad=True)
     above = Tensor(rng.normal(size=(1, hidden)))
-    n1 = hc.BoundaryNoise.sample((1, 1), rng)
-    n2 = hc.BoundaryNoise.sample((1, 1), rng)
+    n1 = st.sample_gumbel((2, 1, 1), rng).data
+    n2 = st.sample_gumbel((2, 1, 1), rng).data
 
     def build():
         s1 = hc.step(prev, below1, Tensor([[1.0]]), above, params, noise=n1, soft_boundaries=True)

@@ -165,7 +165,7 @@ class HMAN:
             return at.reinforce_hard_attend(h1_prev, feats, ap, rng=rng, training=train)
         deterministic = not train
         if cfg.attention == "gumbel-constant":
-            tau = stu.Temperature(cfg.attention_tau)
+            tau = cfg.attention_tau
         else:
             tau = stu.adaptive_tau(h1_prev, ap.w_temp, ap.b_temp)
         return at.gumbel_hard_attend(h1_prev, feats, ap, tau, rng=rng,
@@ -218,8 +218,8 @@ class HMAN:
                 log_probs.append(result.log_prob)
             if taus is not None and result.tau is not None:
                 taus.append(np.asarray(result.tau).reshape(-1))
-            noises = hc.BoundaryNoise.sample_layers(cfg.layers, batch, rng) if draws_z \
-                else [None] * cfg.layers
+            # every layer's (a, b) pair at once: g[layer] is (2, B, 1)
+            g = stu.sample_gumbel((cfg.layers, 2, batch, 1), rng).data if draws_z else None
 
             below_h, below_z = result.attended, ones
             new_states = []
@@ -227,7 +227,8 @@ class HMAN:
                 above = states[idx + 1].h if idx + 1 < cfg.layers else None
                 prev = states[idx]
                 state = hc.step(prev, below_h, below_z, above, self.layer_params(idx + 1),
-                                noise=noises[idx], rng=rng, tau=cfg.boundary_tau,
+                                noise=None if g is None else g[idx], rng=rng,
+                                tau=cfg.boundary_tau,
                                 soft_boundaries=soft_boundaries,
                                 deterministic=deterministic_z,
                                 hidden_tanh=cfg.cell_hidden_tanh,
@@ -263,9 +264,8 @@ class HMAN:
 
     # -- persistence -------------------------------------------------------
 
-    def save(self, path, extra_scalars: dict[str, str] | None = None,
-             extra_tensors: dict[str, np.ndarray] | None = None) -> None:
-        save_checkpoint(path, self, extra_scalars, extra_tensors)
+    def save(self, path, extra_scalars: dict[str, str] | None = None) -> None:
+        save_checkpoint(path, self, extra_scalars)
 
     @classmethod
     def load(cls, path) -> "HMAN":
@@ -477,23 +477,20 @@ def _config_from_text(text: str, path) -> tuple[ModelConfig, dict[str, str]]:
     return cfg, extras
 
 
-def save_checkpoint(path, model: HMAN, extra_scalars: dict[str, str] | None = None,
-                    extra_tensors: dict[str, np.ndarray] | None = None) -> None:
+def save_checkpoint(path, model: HMAN, extra_scalars: dict[str, str] | None = None) -> None:
     config_bytes = _config_to_text(model.config, extra_scalars).encode("utf-8")
-    entries: list[tuple[str, np.ndarray]] = [(n, p.data) for n, p in model.params.items()]
-    entries += [(n, np.asarray(v, dtype=np.float64)) for n, v in (extra_tensors or {}).items()]
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(config_bytes)))
         f.write(config_bytes)
-        f.write(struct.pack("<I", len(entries)))
-        for name, arr in entries:
+        f.write(struct.pack("<I", len(model.params)))
+        for name, p in model.params.items():
             encoded = name.encode("utf-8")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.write(struct.pack("<B", p.ndim))
+            f.write(struct.pack(f"<{p.ndim}I", *p.shape))
+            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
 class _Reader:
@@ -517,8 +514,12 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def load_checkpoint(path) -> tuple[HMAN, dict[str, str], dict[str, np.ndarray]]:
-    """Rebuild a model (plus extra scalars/tensors) from a checkpoint file."""
+def load_checkpoint(path) -> tuple[HMAN, dict[str, str]]:
+    """Rebuild a model, plus the ``x.*`` scalars, from a checkpoint file.
+
+    Tensors that are not parameters of the model, such as the optimizer
+    moments that older trainer checkpoints carried, are skipped.
+    """
     reader = _Reader(Path(path).read_bytes(), path)
     magic = reader.take(len(CHECKPOINT_MAGIC), "magic")
     if magic != CHECKPOINT_MAGIC:
@@ -527,7 +528,6 @@ def load_checkpoint(path) -> tuple[HMAN, dict[str, str], dict[str, np.ndarray]]:
     cfg, extras = _config_from_text(reader.take(config_len, "config block").decode("utf-8"), path)
     model = HMAN(cfg, np.random.default_rng(0))
     count = reader.u32("tensor count")
-    extra_tensors: dict[str, np.ndarray] = {}
     seen = set()
     for _ in range(count):
         name_len = struct.unpack("<H", reader.take(2, "name length"))[0]
@@ -536,18 +536,17 @@ def load_checkpoint(path) -> tuple[HMAN, dict[str, str], dict[str, np.ndarray]]:
         shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim, f"shape of {name}"))
         data = np.frombuffer(reader.take(8 * int(np.prod(shape, dtype=np.int64)),
                                          f"data of {name}"), dtype="<f8").reshape(shape)
-        seen.add(name)
         if name in model.params:
             if model.params[name].shape != tuple(shape):
                 raise FormatError(
                     f"{path}: tensor {name} has shape {tuple(shape)}, model expects "
                     f"{model.params[name].shape}")
             model.params[name].data = np.array(data)
-        else:
-            extra_tensors[name] = np.array(data)
+            seen.add(name)
     if reader.pos != len(reader.raw):
         raise FormatError(f"{path}: {len(reader.raw) - reader.pos} trailing bytes at byte {reader.pos}")
     missing = sorted(set(model.params) - seen)
     if missing:
-        raise FormatError(f"{path}: checkpoint is missing parameters {missing}")
-    return model, extras, extra_tensors
+        raise FormatError(f"{path}: checkpoint is missing parameters {missing} "
+                          f"(tensor table ends at byte {reader.pos})")
+    return model, extras

@@ -8,8 +8,6 @@ hidden state to a sharpness value in (0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -25,31 +23,14 @@ class ParameterError(ValueError):
     """A stochastic unit received an out-of-range parameter."""
 
 
-@dataclass
-class Temperature:
-    """Relaxation sharpness; constant scalar or adaptively computed tensor.
-
-    Adaptive temperatures are produced by :func:`adaptive_tau` and are
-    guaranteed in (0, 1] by construction (denominator >= 1).
-    """
-
-    value: float | Tensor
-
-    def __post_init__(self):
-        if not isinstance(self.value, Tensor) and float(self.value) <= 0.0:
-            raise ParameterError(f"temperature must be positive, got {self.value}")
-
-
 def sample_gumbel(shape, rng: np.random.Generator) -> Tensor:
     """Draw Gumbel(0,1) samples as -log(-log(u)), u clamped to [eps, 1-eps]."""
     u = np.clip(rng.random(shape), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
     return Tensor(-np.log(-np.log(u)))
 
 
-def _tau_operand(tau) -> float | Tensor:
-    """Unwrap a Temperature/float/Tensor into something dividable, validated."""
-    if isinstance(tau, Temperature):
-        tau = tau.value
+def _tau_operand(tau: float | Tensor) -> float | Tensor:
+    """A temperature, constant or tensor, checked to be positive."""
     if isinstance(tau, Tensor):
         if np.any(tau.data <= 0.0):
             raise ParameterError("temperature tensor has non-positive entries")
@@ -114,12 +95,12 @@ def hard_onehot(y: Tensor) -> Tensor:
     return Tensor._from_op(data, (y,), backward_fn)
 
 
-def adaptive_tau(h1: Tensor, w_temp: Tensor, b_temp: Tensor) -> Temperature:
+def adaptive_tau(h1: Tensor, w_temp: Tensor, b_temp: Tensor) -> Tensor:
     """Temperature from the first-layer hidden state: 1 / (softplus(w.h + b) + 1).
 
     The +1 in the denominator pins the result into (0, 1].  ``h1`` is
-    (B, d), ``w_temp`` is (d, 1), ``b_temp`` is (1, 1); the result wraps
-    a (B, 1) tensor, differentiable in all inputs.
+    (B, d), ``w_temp`` is (d, 1), ``b_temp`` is (1, 1); the result is a
+    (B, 1) tensor, differentiable in all inputs.
     """
     pre = ad.matmul(h1, w_temp) + b_temp
-    return Temperature(1.0 / (ad.softplus(pre) + 1.0))
+    return 1.0 / (ad.softplus(pre) + 1.0)

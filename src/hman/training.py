@@ -240,35 +240,6 @@ class Trainer:
             tau_max=max(taus) if taus else None,
         )
 
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        scalars = {
-            "iteration": str(self.iteration),
-            "adam_t": str(self.adam.t),
-            "baseline": repr(self.baseline.value),
-            "baseline_updates": str(self.baseline.updates),
-        }
-        tensors = {}
-        for name in self.model.params:
-            tensors[f"opt.m.{name}"] = self.adam.m[name]
-            tensors[f"opt.v.{name}"] = self.adam.v[name]
-        self.model.save(path, extra_scalars=scalars, extra_tensors=tensors)
-
-    @classmethod
-    def restore(cls, path, config: TrainConfig) -> "Trainer":
-        model, scalars, tensors = hm.load_checkpoint(path)
-        trainer = cls(model, config)
-        trainer.iteration = int(scalars.get("iteration", "0"))
-        trainer.adam.t = int(scalars.get("adam_t", "0"))
-        trainer.baseline.value = float(scalars.get("baseline", "0.0"))
-        trainer.baseline.updates = int(scalars.get("baseline_updates", "0"))
-        for name in model.params:
-            if f"opt.m.{name}" in tensors:
-                trainer.adam.m[name] = tensors[f"opt.m.{name}"]
-                trainer.adam.v[name] = tensors[f"opt.v.{name}"]
-        return trainer
-
 
 # -- evaluation ---------------------------------------------------------------
 
@@ -305,6 +276,8 @@ def evaluate(model: hm.HMAN, samples: list[VideoSample], block_len: int,
     clips it is evaluated with, and the same samples in the same order
     give the same report.
     """
+    if block_len < 1:
+        raise ConfigError(f"block_len (--block-len) must be at least 1, got {block_len}")
     rng = np.random.default_rng(hm.EVAL_NOISE_SEED)
     classes = model.config.classes
     scores = hm.score_clips(model, [split_blocks(s.features, block_len) for s in samples], rng)

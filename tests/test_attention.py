@@ -111,7 +111,7 @@ class TestGumbelHardAttend:
         feats = np.arange(K2 * D, dtype=float).reshape(K2, D)
         params, h, x = scored_instance([5.0, 0.0, 0.0, 0.0], feats)
         noise = Tensor(np.zeros((1, K2)))
-        res = at.gumbel_hard_attend(h, x, params, st.Temperature(0.3), noise=noise)
+        res = at.gumbel_hard_attend(h, x, params, 0.3, noise=noise)
         assert res.selected_index[0] == 0
         npt.assert_array_equal(res.weights.data, [[1.0, 0.0, 0.0, 0.0]])
         npt.assert_allclose(res.attended.data[0], feats[0], atol=1e-15)
@@ -119,7 +119,7 @@ class TestGumbelHardAttend:
     def test_weights_exactly_one_hot(self):
         rng = np.random.default_rng(32)
         params, h, x = make_instance(rng, batch=6)
-        res = at.gumbel_hard_attend(h, x, params, st.Temperature(0.3), rng=rng)
+        res = at.gumbel_hard_attend(h, x, params, 0.3, rng=rng)
         w = res.weights.data
         assert np.all(np.sum(w == 1.0, axis=-1) == 1)
         assert np.all(np.sum(w == 0.0, axis=-1) == K2 - 1)
@@ -134,7 +134,7 @@ class TestGumbelHardAttend:
         for _ in range(10):
             h = Tensor(rng.normal(scale=3.0, size=(2, d)))
             tau = st.adaptive_tau(h, params.w_temp, params.b_temp)
-            assert np.all(tau.value.data > 0) and np.all(tau.value.data <= 1.0)
+            assert np.all(tau.data > 0) and np.all(tau.data <= 1.0)
             x = Tensor(rng.normal(size=(2, K2, D)))
             res = at.gumbel_hard_attend(h, x, params, tau, rng=rng)
             assert np.all(np.isin(res.weights.data, (0.0, 1.0)))
@@ -147,7 +147,7 @@ class TestGumbelHardAttend:
         params = at.AttentionParams(w_loc=Tensor(scores[:, None]))
         h = Tensor(np.ones((n, 1)))
         x = Tensor(np.zeros((n, K2, 1)))
-        res = at.gumbel_hard_attend(h, x, params, st.Temperature(0.5), rng=rng)
+        res = at.gumbel_hard_attend(h, x, params, 0.5, rng=rng)
         freq = np.bincount(res.selected_index, minlength=K2) / n
         expected = np.exp(scores) / np.exp(scores).sum()
         npt.assert_allclose(freq, expected, atol=0.01)
@@ -155,7 +155,7 @@ class TestGumbelHardAttend:
     def test_deterministic_mode_takes_argmax(self):
         feats = np.arange(K2 * D, dtype=float).reshape(K2, D)
         params, h, x = scored_instance([0.0, 0.0, 3.0, 0.0], feats)
-        res = at.gumbel_hard_attend(h, x, params, st.Temperature(0.3), deterministic=True)
+        res = at.gumbel_hard_attend(h, x, params, 0.3, deterministic=True)
         assert res.selected_index[0] == 2
         npt.assert_allclose(res.attended.data[0], feats[2], atol=1e-15)
 
@@ -170,7 +170,7 @@ class TestGumbelHardAttend:
         def grad_through(soft_sample: bool) -> np.ndarray:
             params = at.AttentionParams(w_loc=Tensor(w_init.copy(), requires_grad=True))
             h = Tensor(h_value.copy())
-            res = at.gumbel_hard_attend(h, x, params, st.Temperature(0.4), noise=noise,
+            res = at.gumbel_hard_attend(h, x, params, 0.4, noise=noise,
                                         soft_sample=soft_sample)
             ad.backward(ad.sum_(res.attended * v))
             return params.w_loc.grad
@@ -339,4 +339,3 @@ class TestBaseline:
         closed = 0.9 ** 200 * b0 + c * (1.0 - 0.9 ** 200)
         assert baseline.value == pytest.approx(closed, abs=1e-12)
         assert abs(baseline.value - c) < 1e-8
-        assert baseline.updates == 200

@@ -49,7 +49,7 @@ def manual_gates(params, prev_h, prev_z, below_h, below_z, above_h):
 
 
 def run_step(prev, below_h, below_z, above_h, params, **kw):
-    kw.setdefault("noise", hc.BoundaryNoise.sample((1, 1), np.random.default_rng(0)))
+    kw.setdefault("noise", st.sample_gumbel((2, 1, 1), np.random.default_rng(0)).data)
     return hc.step(prev, below_h, Tensor([[below_z]]), above_h, params, **kw)
 
 
@@ -159,7 +159,7 @@ class TestGradientFlow:
         params = make_params(rng)
         prev, below_h, above_h = make_inputs(rng)
         prev.z = Tensor([[1.0]])  # FLUSH: state recomputes, bottom-up masked
-        noise = hc.BoundaryNoise.sample((1, 1), np.random.default_rng(0))
+        noise = st.sample_gumbel((2, 1, 1), np.random.default_rng(0)).data
         first = run_step(prev, below_h, 0.0, above_h, params, noise=noise)
         other = Tensor(rng.normal(scale=50.0, size=(1, BELOW)))
         second = run_step(prev, other, 0.0, above_h, params, noise=noise)
@@ -172,8 +172,8 @@ class TestGradientFlow:
         params = make_params(rng)
         prev, below_h, above_h = make_inputs(rng)
         prev.h.requires_grad = True
-        n1 = hc.BoundaryNoise.sample((1, 1), rng)
-        n2 = hc.BoundaryNoise.sample((1, 1), rng)
+        n1 = st.sample_gumbel((2, 1, 1), rng).data
+        n2 = st.sample_gumbel((2, 1, 1), rng).data
 
         def build():
             s1 = hc.step(prev, below_h, Tensor([[1.0]]), above_h, params,
@@ -237,13 +237,23 @@ class TestNestedBoundaries:
 
 
 class TestBoundaryNoise:
-    def test_one_draw_for_the_stack_equals_per_layer_draws(self):
-        stacked = hc.BoundaryNoise.sample_layers(3, 5, np.random.default_rng(17))
-        rng = np.random.default_rng(17)
-        for noise in stacked:
-            want = hc.BoundaryNoise.sample((5, 1), rng)
-            assert np.array_equal(noise.a.data, want.a.data)
-            assert np.array_equal(noise.b.data, want.b.data)
+    def test_rng_fallback_draws_the_pair_as_two_draws(self):
+        # one (2, B, 1) draw gives the values of the two (B, 1) draws a then b
+        rng = np.random.default_rng(19)
+        params = make_params(rng)
+        params.bias.data[0, 4 * HIDDEN] = 0.0  # detector near 0.5: the noise decides
+        prev = hc.LayerState(c=Tensor(rng.normal(size=(8, HIDDEN))),
+                             h=Tensor(rng.normal(size=(8, HIDDEN))), z=Tensor(np.zeros((8, 1))))
+        below_h = Tensor(rng.normal(size=(8, BELOW)))
+        above_h = Tensor(rng.normal(size=(8, HIDDEN)))
+        ones = Tensor(np.ones((8, 1)))
+        pair_rng = np.random.default_rng(17)
+        pair = np.stack([st.sample_gumbel((8, 1), pair_rng).data,
+                         st.sample_gumbel((8, 1), pair_rng).data])
+        got = hc.step(prev, below_h, ones, above_h, params, rng=np.random.default_rng(17))
+        want = hc.step(prev, below_h, ones, above_h, params, noise=pair)
+        assert 0.0 < want.z.data.mean() < 1.0
+        assert np.array_equal(got.z.data, want.z.data)
 
 
 class TestContracts:
@@ -314,7 +324,7 @@ def reference_step(prev, below_h, below_z, above_h_prev, params, *, noise=None,
     elif deterministic:
         z = st.hard_threshold(ad.sigmoid(z_pre))
     else:
-        soft_z = st.gumbel_sigmoid(z_pre, noise.a, noise.b, tau)
+        soft_z = st.gumbel_sigmoid(z_pre, Tensor(noise[0]), Tensor(noise[1]), tau)
         z = soft_z if soft_boundaries else st.hard_threshold(soft_z)
 
     zp = prev.z
@@ -375,8 +385,8 @@ class TestFusedMatchesReference:
         if not top:
             s += (inputs["prev.z"].data * inputs["above_h"].data) @ params.u_top.data
         params.bias.data[0, 4 * HIDDEN] = -0.5 * (s[0, 4 * HIDDEN] + s[2, 4 * HIDDEN])
-        noise = hc.BoundaryNoise.sample((batch, 1), rng)
-        noise.b.data[[0, 2]] = noise.a.data[[0, 2]]  # noise cancels on those two rows
+        noise = st.sample_gumbel((2, batch, 1), rng).data
+        noise[1, [0, 2]] = noise[0, [0, 2]]  # noise cancels on those two rows
         weights = [rng.normal(size=(batch, HIDDEN)), rng.normal(size=(batch, HIDDEN)),
                    rng.normal(size=(batch, 1)), rng.normal(size=(batch, 1))]
         return params, inputs, noise, weights

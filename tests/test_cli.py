@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: wiring, determinism, exit codes."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hman import cli
 from hman import data as hd
 from hman import gradcheck as gc
+from hman import model as hm
 
 
 def run_cli(*argv):
@@ -109,6 +111,12 @@ class TestTrain:
         assert run_cli("train", "--config", cfg_path, "--data", dataset,
                        "--out", tmp_path / "o") == 1
 
+    def test_negative_eval_every_exits_one_naming_the_flag(self, dataset, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("train", "--data", dataset, "--out", out, "--eval-every", -1) == 1
+        assert "--eval-every" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["reinforce", "gumbel-constant", "gumbel-adaptive"])
     def test_all_attention_modes_train(self, dataset, tmp_path, mode):
         out = tmp_path / mode
@@ -142,6 +150,91 @@ class TestEval:
                        "--test-per-class", 1, "--out", other) == 0
         assert run_cli("eval", "--checkpoint", trained / "ckpt_epoch_002.hman",
                        "--data", other) == 1
+
+
+    @pytest.mark.parametrize("block_len", [0, -3])
+    def test_block_length_below_one_exits_one_naming_the_flag(self, dataset, trained, tmp_path,
+                                                              capsys, block_len):
+        assert run_cli("eval", "--checkpoint", trained / "ckpt_epoch_002.hman",
+                       "--data", dataset, "--out", tmp_path, "--block-len", block_len) == 1
+        assert "--block-len" in capsys.readouterr().err
+
+
+def read_layout(path):
+    """The config lines and tensor names of a checkpoint, read by the byte
+    layout that ``hman.model`` documents."""
+    raw = Path(path).read_bytes()
+    assert raw[:5] == b"HMAN1"
+    (config_len,) = struct.unpack_from("<I", raw, 5)
+    config = raw[9:9 + config_len].decode("utf-8").splitlines()
+    pos = 9 + config_len
+    (count,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    names = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        names.append(raw[pos + 2:pos + 2 + name_len].decode("utf-8"))
+        pos += 2 + name_len
+        ndim = raw[pos]
+        shape = struct.unpack_from(f"<{ndim}I", raw, pos + 1)
+        pos += 1 + 4 * ndim + 8 * int(np.prod(shape, dtype=np.int64))
+    assert pos == len(raw)
+    return config, names
+
+
+def write_resume_checkpoint(path, model, iteration):
+    """A checkpoint in the layout the trainer wrote while it saved resume
+    state: the parameters, then Adam's moments of each (``opt.m.<name>``,
+    ``opt.v.<name>``), and the ``x.adam_t``, ``x.baseline`` and
+    ``x.baseline_updates`` scalars after ``x.iteration``."""
+    cfg = model.config
+    lines = ["format_version=1", f"layers={cfg.layers}", f"hidden={cfg.hidden}",
+             f"grid_side={cfg.grid_side}", f"feat_dim={cfg.feat_dim}",
+             f"classes={cfg.classes}", f"attention={cfg.attention}", "cell_hidden_tanh=1",
+             f"eval_z={cfg.eval_z}", f"attention_tau={cfg.attention_tau!r}",
+             f"boundary_tau={cfg.boundary_tau!r}", "force_z=",
+             f"x.iteration={iteration}", f"x.adam_t={iteration}", "x.baseline=-0.25",
+             f"x.baseline_updates={iteration}"]
+    rng = np.random.default_rng(0)
+    tensors = [(name, p.data) for name, p in model.params.items()]
+    for name, p in model.params.items():
+        tensors += [(f"opt.m.{name}", rng.normal(size=p.shape)),
+                    (f"opt.v.{name}", rng.uniform(size=p.shape))]
+    config = ("\n".join(lines) + "\n").encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(b"HMAN1" + struct.pack("<I", len(config)) + config)
+        f.write(struct.pack("<I", len(tensors)))
+        for name, arr in tensors:
+            encoded = name.encode("utf-8")
+            f.write(struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f8").tobytes())
+
+
+class TestCheckpointFiles:
+    def test_checkpoint_with_resume_state_loads_through_eval(self, dataset, trained, tmp_path):
+        current = trained / "ckpt_epoch_002.hman"
+        model = hm.HMAN.load(current)
+        old = tmp_path / "old.hman"
+        write_resume_checkpoint(old, model, iteration=6)
+        assert len(read_layout(old)[1]) == 3 * len(model.params)
+        loaded, scalars = hm.load_checkpoint(old)
+        assert loaded.config == model.config
+        assert scalars == {"iteration": "6", "adam_t": "6", "baseline": "-0.25",
+                           "baseline_updates": "6"}
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data)
+        for path, out in ((old, tmp_path / "old"), (current, tmp_path / "current")):
+            assert run_cli("eval", "--checkpoint", path, "--data", dataset, "--out", out) == 0
+        confusion = [(tmp_path / d / "confusion.csv").read_bytes() for d in ("old", "current")]
+        assert confusion[0] == confusion[1]
+
+    def test_train_checkpoint_holds_exactly_the_parameters(self, trained):
+        config, names = read_layout(trained / "ckpt_epoch_002.hman")
+        model = hm.HMAN.load(trained / "ckpt_epoch_002.hman")
+        assert names == list(model.params)
+        last = (trained / "metrics.csv").read_text().splitlines()[-1]
+        assert [line for line in config if line.startswith("x.")] == \
+            [f"x.iteration={last.split(',')[1]}"]
 
 
 class TestViz:

@@ -1,5 +1,7 @@
 """Full-network behavior: forward contracts, losses, prediction, checkpoints."""
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from hman import autodiff as ad
 from hman import cell as hc
 from hman import data as hd
 from hman import model as hm
+from hman import stochastic as stu
 from hman import training as ht
 from hman.autodiff import ContractError, Tensor
 from hman.errors import ConfigError, FormatError
@@ -343,8 +346,10 @@ class TestBoundaryNoiseStream:
         x = np.random.default_rng(24).normal(size=(4, 7, K2, FEAT))
         got = model.forward_batch(x, rng=np.random.default_rng(25), train=train)
         # reference: no per-step draw, so every hc.step draws its own pair from the rng
-        monkeypatch.setattr(hc.BoundaryNoise, "sample_layers",
-                            classmethod(lambda cls, layers, batch, rng: [None] * layers))
+        sample_gumbel, step = stu.sample_gumbel, hc.step
+        monkeypatch.setattr(stu, "sample_gumbel", lambda shape, rng: Tensor(np.zeros(shape))
+                            if len(shape) == 4 else sample_gumbel(shape, rng))
+        monkeypatch.setattr(hc, "step", lambda *a, noise=None, **k: step(*a, **k))
         want = model.forward_batch(x, rng=np.random.default_rng(25), train=train)
         assert 0.0 < want.z_history[:, 1:].mean() < 1.0
         assert np.array_equal(got.z_history, want.z_history)
@@ -467,9 +472,8 @@ class TestCheckpoint:
         rng = np.random.default_rng(16)
         model = tiny_model(13, attention="gumbel-adaptive", layers=3)
         path = tmp_path / "model.hman"
-        model.save(path, extra_scalars={"iteration": "17"},
-                   extra_tensors={"opt.m.head.w": rng.normal(size=(15, CLASSES))})
-        loaded, scalars, tensors = hm.load_checkpoint(path)
+        model.save(path, extra_scalars={"iteration": "17"})
+        loaded, scalars = hm.load_checkpoint(path)
         assert scalars["iteration"] == "17"
         assert loaded.config == model.config
         for name, p in model.params.items():
@@ -519,6 +523,17 @@ class TestCheckpoint:
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="byte 0"):
+            hm.load_checkpoint(path)
+
+    def test_missing_parameter_reports_position(self, tmp_path):
+        path = tmp_path / "model.hman"
+        tiny_model(14).save(path)  # soft attention: no temperature weights
+        raw = path.read_bytes()
+        (length,) = struct.unpack_from("<I", raw, 5)
+        config = raw[9:9 + length].replace(b"attention=soft", b"attention=gumbel-adaptive")
+        path.write_bytes(raw[:5] + struct.pack("<I", len(config)) + config + raw[9 + length:])
+        with pytest.raises(FormatError, match=r"missing parameters \['attn.b_temp', "
+                                              r"'attn.w_temp'\] .* byte \d+"):
             hm.load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):

@@ -55,7 +55,7 @@ class TestGumbelSoftmax:
         with pytest.raises(st.ParameterError):
             st.gumbel_softmax(Tensor([[0.0, 0.0]]), zero_noise((1, 2)), 0.0)
         with pytest.raises(st.ParameterError):
-            st.Temperature(-0.3)
+            st.gumbel_softmax(Tensor([[0.0, 0.0]]), zero_noise((1, 2)), Tensor([[-0.3]]))
 
     @pytest.mark.parametrize("logits", [
         [0.0, 0.0, 0.0],
@@ -192,13 +192,13 @@ class TestAdaptiveTau:
         w = Tensor(np.zeros((3, 1)))
         b = Tensor(np.zeros((1, 1)))
         tau = st.adaptive_tau(h, w, b)
-        assert tau.value.data[0, 0] == pytest.approx(1.0 / (math.log(2.0) + 1.0), abs=1e-9)
+        assert tau.data[0, 0] == pytest.approx(1.0 / (math.log(2.0) + 1.0), abs=1e-9)
 
     def test_very_negative_preactivation_approaches_one(self):
         h = Tensor([[1.0]])
         w = Tensor([[-1000.0]])
         b = Tensor([[0.0]])
-        assert st.adaptive_tau(h, w, b).value.data[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert st.adaptive_tau(h, w, b).data[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_preactivation_ten(self):
         # direct formula oracle: 1 / (log1p(exp(10)) + 1)
@@ -206,7 +206,7 @@ class TestAdaptiveTau:
         w = Tensor([[10.0]])
         b = Tensor([[0.0]])
         expected = 1.0 / (math.log1p(math.exp(10.0)) + 1.0)
-        got = st.adaptive_tau(h, w, b).value.data[0, 0]
+        got = st.adaptive_tau(h, w, b).data[0, 0]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(1.0 / 11.0000454, rel=1e-7)
 
@@ -216,7 +216,7 @@ class TestAdaptiveTau:
             h = Tensor(rng.normal(scale=20.0, size=(8, 5)))
             w = Tensor(rng.normal(scale=20.0, size=(5, 1)))
             b = Tensor(rng.normal(scale=20.0, size=(1, 1)))
-            vals = st.adaptive_tau(h, w, b).value.data
+            vals = st.adaptive_tau(h, w, b).data
             assert np.all(vals > 0.0) and np.all(vals <= 1.0)
 
     def test_differentiable_in_all_inputs(self):
@@ -224,5 +224,5 @@ class TestAdaptiveTau:
         h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
         b = Tensor(rng.normal(size=(1, 1)), requires_grad=True)
-        worst = check_gradients(lambda: ad.sum_(st.adaptive_tau(h, w, b).value), [h, w, b])
+        worst = check_gradients(lambda: ad.sum_(st.adaptive_tau(h, w, b)), [h, w, b])
         assert worst < 1e-4
