@@ -38,18 +38,17 @@ class AttentionParams:
 class AttentionResult:
     """Weights over locations, the attended feature, and sampling metadata.
 
-    ``weights`` rows sum to 1 (exactly one-hot for the hard variants);
-    ``attended`` is always the weights-mixed feature, which for one-hot
-    weights is a selection.  ``tau`` records the temperature actually
-    used, for logging.  Soft attention's weights are a record of its
-    fused op and carry no gradient; its gradient flows through
-    ``attended``.
+    ``weights`` rows sum to 1 (exactly one-hot for the hard variants,
+    whose selected location is the row argmax); ``attended`` is always
+    the weights-mixed feature, which for one-hot weights is a selection.
+    ``tau`` records the temperature of a Gumbel sample, for logging.
+    Soft attention's weights are a record of its fused op and carry no
+    gradient; its gradient flows through ``attended``.
     """
 
     weights: Tensor                      # (B, K*K)
     attended: Tensor                     # (B, D)
-    selected_index: np.ndarray | None = None  # (B,) int
-    log_prob: Tensor | None = None       # (B, 1)
+    log_prob: Tensor | None = None       # (B, 1), reinforce only
     tau: np.ndarray | float | None = None
 
 
@@ -91,55 +90,41 @@ def soft_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams) -> A
 
 
 def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams,
-                       tau, rng: np.random.Generator | None = None,
-                       noise: Tensor | None = None,
-                       deterministic: bool = False,
+                       tau, noise: Tensor | None = None,
                        soft_sample: bool = False) -> AttentionResult:
     """One-hot location sample through Gumbel-softmax with straight-through.
 
-    ``tau`` is a constant or the (B, 1) tensor of :func:`~hman.stochastic.adaptive_tau`.
-    ``deterministic`` selects the argmax location noise-free (evaluation);
+    ``noise`` is the (B, K*K) Gumbel draw; without it the argmax location
+    is selected noise-free (evaluation) and ``tau`` is not read.  ``tau``
+    is a constant or the (B, 1) tensor of :func:`~hman.stochastic.adaptive_tau`.
     ``soft_sample`` keeps the relaxed sample as the weights (gradient
     verification only).
     """
     scores = location_scores(h1_prev, params)
-    if deterministic:
-        idx = np.argmax(scores.data, axis=-1)
-        weights = Tensor(_onehot(idx, scores.shape[-1]))
-        attended = ad.attend_mix(weights, features)
-        return AttentionResult(weights=weights, attended=attended, selected_index=idx)
     if noise is None:
-        if rng is None:
-            raise ad.ContractError("gumbel_hard_attend needs noise or an rng")
-        noise = st.sample_gumbel(scores.shape, rng)
+        weights = Tensor(_onehot(np.argmax(scores.data, axis=-1), scores.shape[-1]))
+        return AttentionResult(weights=weights, attended=ad.attend_mix(weights, features))
     soft = st.gumbel_softmax(scores, noise, tau)
-    idx = np.argmax(soft.data, axis=-1)
     weights = soft if soft_sample else st.hard_onehot(soft)
     attended = ad.attend_mix(weights, features)
     tau_value = tau.data.copy() if isinstance(tau, Tensor) else float(tau)
-    return AttentionResult(weights=weights, attended=attended, selected_index=idx, tau=tau_value)
+    return AttentionResult(weights=weights, attended=attended, tau=tau_value)
 
 
 def reinforce_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams,
-                          rng: np.random.Generator | None = None,
-                          training: bool = True) -> AttentionResult:
-    """Sample a single location from the location softmax (argmax when evaluating).
+                          uniforms: np.ndarray | None = None) -> AttentionResult:
+    """Sample a single location from the location softmax, by inverse CDF of
+    the (B,) ``uniforms``; without them the argmax location (evaluation).
 
     The selection itself carries no gradient; learning flows through the
     recorded ``log_prob`` via the score-function surrogate.
     """
     alpha = ad.softmax(location_scores(h1_prev, params), axis=-1)
-    if training:
-        if rng is None:
-            raise ad.ContractError("reinforce_hard_attend needs an rng in training mode")
-        idx = _sample_rows(alpha.data, rng)
-    else:
-        idx = np.argmax(alpha.data, axis=-1)
+    idx = np.argmax(alpha.data, axis=-1) if uniforms is None else _sample_rows(alpha.data, uniforms)
     weights = Tensor(_onehot(idx, alpha.shape[-1]))
     attended = ad.attend_mix(weights, features)
     log_prob = ad.clipped_log(ad.take_rows(alpha, idx), LOG_FLOOR)
-    return AttentionResult(weights=weights, attended=attended,
-                           selected_index=idx, log_prob=log_prob)
+    return AttentionResult(weights=weights, attended=attended, log_prob=log_prob)
 
 
 def _onehot(idx: np.ndarray, width: int) -> np.ndarray:
@@ -148,10 +133,9 @@ def _onehot(idx: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a probability matrix."""
+def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One categorical draw per row of a probability matrix, from one uniform each."""
     cdf = np.cumsum(probs, axis=-1)
-    u = rng.random(probs.shape[0])
     idx = (u[:, None] > cdf).sum(axis=-1)
     return np.minimum(idx, probs.shape[-1] - 1)
 

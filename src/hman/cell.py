@@ -27,7 +27,7 @@ of those ops, which record no node of their own:
   (+ (z_prev*h_above)@U_top), added in that order.  It keeps the masked
   inputs z_below*h_below and z_prev*h_above for the weight gradients.
 * ``_boundary``: from the ``z`` column of s, y = sigmoid(((pre + a) - b)/tau)
-  with Gumbel draws a, b (a = b = 0 and tau = 1 when deterministic), the
+  with Gumbel draws a, b (a = b = 0 and tau = 1 without noise), the
   bit 1[y >= 0.5] (or y itself with soft boundaries), and the output
   bit*z_below.  It keeps y and the bit.  Its backward is straight-through:
   the thresholding passes its adjoint unchanged, so ``pre`` receives
@@ -246,23 +246,22 @@ def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
 
 def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
          above_h_prev: Tensor | None, params: LayerParams, *,
-         noise: np.ndarray | None = None, rng: np.random.Generator | None = None,
-         tau: float = BOUNDARY_TAU, soft_boundaries: bool = False,
-         deterministic: bool = False, hidden_tanh: bool = True,
+         noise: np.ndarray | None = None, tau: float = BOUNDARY_TAU,
+         soft_boundaries: bool = False, hidden_tanh: bool = True,
          force_z: float | None = None) -> LayerState:
     """Advance one layer by one time step.
 
     ``below_h``/``below_z`` come from the layer below at the current
     step (for layer 1: the attended input with below_z identically 1);
     ``above_h_prev`` is the layer above at the previous step, absent for
-    the top layer.  The boundary bit is drawn with Gumbel-sigmoid noise
-    at temperature ``tau`` and thresholded at 0.5 unless
-    ``deterministic`` (noise-free sigmoid) or ``soft_boundaries`` (the
-    relaxed value is kept, for gradient verification) is set; the drawn
+    the top layer.  ``noise`` is the (2, B, 1) pair of Gumbel draws
+    (a, b): with it the boundary bit is a Gumbel-sigmoid sample at
+    temperature ``tau``, thresholded at 0.5 unless ``soft_boundaries``
+    (the relaxed value is kept, for gradient verification); the drawn
     bit is Bernoulli(sigmoid(pre)) at every ``tau``, which only shapes
-    the straight-through gradient.  The bit is then masked by
-    ``below_z`` (boundaries nest).  ``noise`` is the (2, B, 1) pair of
-    Gumbel draws (a, b); without it the pair is drawn from ``rng``.
+    the straight-through gradient.  Without ``noise`` the bit is the
+    noise-free sigmoid thresholded at 0.5.  The bit is then masked by
+    ``below_z`` (boundaries nest).
 
     ``hidden_tanh`` selects h = o*tanh(c); clearing it uses the literal
     h = o*c rule.
@@ -291,13 +290,9 @@ def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
 
     if force_z is not None:
         z = Tensor(np.full((s.shape[0], 1), float(force_z))) * below_z
-    elif deterministic:
+    elif noise is None:
         z = _boundary(z_pre, below_z, 0.0, 0.0, 1.0, soft=False)
     else:
-        if noise is None:
-            if rng is None:
-                raise ContractError("step needs either explicit boundary noise or an rng")
-            noise = st.sample_gumbel((2, s.shape[0], 1), rng).data
         z = _boundary(z_pre, below_z, noise[0], noise[1], st._tau_operand(tau),
                       soft=soft_boundaries)
 

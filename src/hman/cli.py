@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as hd
 from . import gradcheck as gc
 from . import model as hm
 from . import training as ht
 from . import viz as hv
-from .autodiff import AutodiffError
 from .errors import ConfigError, FormatError, TrainingAbort
 
 
@@ -279,7 +279,8 @@ def cmd_viz(args) -> int:
 
     # one stream: boundary noise (eval_z=sampled only), then the chance baseline
     rng = np.random.default_rng(opts["seed"])
-    out = model.forward_batch(sample.features[None], rng=rng, train=False)
+    with ad.no_grad():
+        out = model.forward_batch(sample.features[None], rng=rng, train=False)
     weights = np.stack([a.weights.data[0] for a in out.attention])
     z = out.z_history[:, :, 0]
     out_dir = Path(opts["out"])
@@ -328,7 +329,7 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError, FileNotFoundError, NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (AutodiffError, TrainingAbort) as e:
+    except (ad.AutodiffError, TrainingAbort) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2
 

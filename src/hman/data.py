@@ -218,6 +218,12 @@ class SyntheticSpec:
     def validate(self) -> None:
         if self.vocab < 1 or self.segments < 1 or self.classes < 1:
             raise ConfigError("classes, vocab and segments must all be positive")
+        for name, least in (("grid_side", 1), ("feat_dim", 1),
+                            ("train_per_class", 0), ("test_per_class", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} (--{name.replace('_', '-')}) must be at least "
+                                  f"{least}, got {value}")
         if self.seg_len_min < 1 or self.seg_len_max < self.seg_len_min:
             raise ConfigError(
                 f"segment length range [{self.seg_len_min}, {self.seg_len_max}] is empty")

@@ -40,8 +40,10 @@ class ModelConfig:
 
     ``cell_hidden_tanh`` selects h = o*tanh(c) in the cell (the bounded
     default); clearing it uses the literal h = o*c rule.  ``force_z``
-    pins every boundary bit to a constant, which with ``layers=1``
-    yields the flat attention-RNN baseline.  ``eval_z`` picks whether
+    pins every boundary bit to a constant; ``layers=1`` with
+    ``force_z=0`` UPDATEs on every step, the flat LSTM-with-attention
+    baseline (``force_z=1`` FLUSHes on every step instead, so c = i*g
+    and the forget gate goes unused).  ``eval_z`` picks whether
     evaluation draws boundary noise or thresholds the plain sigmoid.
     """
 
@@ -88,8 +90,6 @@ class BatchOutput:
     attention: list[at.AttentionResult]    # per t
     z_history: np.ndarray                  # (T, L, B)
     update_mask: np.ndarray                # (T, L, B); 1 where the layer recomputed state
-    log_probs: list[Tensor] | None         # per t: (B, 1), reinforce mode only
-    taus: list[np.ndarray] | None          # per t: (B,), adaptive mode only
     z_logits: list[list[Tensor]] = field(default_factory=list)  # per layer, per t: (B, 1)
 
     def mean_probs(self) -> np.ndarray:
@@ -157,19 +157,23 @@ class HMAN:
 
     def _attend(self, h1_prev: Tensor, feats: Tensor, rng, train: bool,
                 soft_attention_sample: bool) -> at.AttentionResult:
+        """One step's attention; hard attention samples from ``rng`` only in training."""
         cfg = self.config
         ap = self.attention_params()
+        batch = h1_prev.shape[0]
         if cfg.attention == "soft":
             return at.soft_attend(h1_prev, feats, ap)
         if cfg.attention == "reinforce":
-            return at.reinforce_hard_attend(h1_prev, feats, ap, rng=rng, training=train)
-        deterministic = not train
+            return at.reinforce_hard_attend(h1_prev, feats, ap,
+                                            uniforms=rng.random(batch) if train else None)
+        if not train:
+            return at.gumbel_hard_attend(h1_prev, feats, ap, None)
         if cfg.attention == "gumbel-constant":
             tau = cfg.attention_tau
         else:
             tau = stu.adaptive_tau(h1_prev, ap.w_temp, ap.b_temp)
-        return at.gumbel_hard_attend(h1_prev, feats, ap, tau, rng=rng,
-                                     deterministic=deterministic,
+        return at.gumbel_hard_attend(h1_prev, feats, ap, tau,
+                                     noise=stu.sample_gumbel((batch, cfg.locations), rng),
                                      soft_sample=soft_attention_sample)
 
     def forward_batch(self, x: np.ndarray, rng: np.random.Generator | None = None,
@@ -177,10 +181,12 @@ class HMAN:
                       soft_attention_sample: bool = False) -> BatchOutput:
         """Run a (B, T, K*K, D) batch through the network.
 
-        Initial states are zero with boundary bits 0.  In training mode
-        stochastic units draw from ``rng``; in evaluation mode the
-        default configuration is fully deterministic (noise-free
-        boundary bits, argmax attention).
+        Initial states are zero with boundary bits 0.  Every random number
+        of the network is drawn here, from ``rng``, and passed to the unit
+        that uses it: per step the hard-attention noise (training only),
+        then the boundary noise of the whole stack.  A unit given no noise
+        runs noise-free, so the default evaluation is deterministic
+        (noise-free boundary bits, argmax attention).
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
@@ -198,12 +204,8 @@ class HMAN:
 
         states = [hc.initial_state(cfg.hidden, batch) for _ in range(cfg.layers)]
         ones = Tensor(np.ones((batch, 1)))
-        reinforce = cfg.attention == "reinforce" and train
-        adaptive = cfg.attention == "gumbel-adaptive"
         draws_z = cfg.force_z is None and not deterministic_z
         attention: list[at.AttentionResult] = []
-        log_probs: list[Tensor] | None = [] if reinforce else None
-        taus: list[np.ndarray] | None = [] if adaptive and train else None
         z_history = np.zeros((steps, cfg.layers, batch))
         update_mask = np.zeros((steps, cfg.layers, batch))
         z_logits: list[list[Tensor]] = [[] for _ in range(cfg.layers)]
@@ -214,10 +216,6 @@ class HMAN:
             feats = Tensor(x[:, t])
             result = self._attend(states[0].h, feats, rng, train, soft_attention_sample)
             attention.append(result)
-            if reinforce:
-                log_probs.append(result.log_prob)
-            if taus is not None and result.tau is not None:
-                taus.append(np.asarray(result.tau).reshape(-1))
             # every layer's (a, b) pair at once: g[layer] is (2, B, 1)
             g = stu.sample_gumbel((cfg.layers, 2, batch, 1), rng).data if draws_z else None
 
@@ -227,10 +225,9 @@ class HMAN:
                 above = states[idx + 1].h if idx + 1 < cfg.layers else None
                 prev = states[idx]
                 state = hc.step(prev, below_h, below_z, above, self.layer_params(idx + 1),
-                                noise=None if g is None else g[idx], rng=rng,
+                                noise=None if g is None else g[idx],
                                 tau=cfg.boundary_tau,
                                 soft_boundaries=soft_boundaries,
-                                deterministic=deterministic_z,
                                 hidden_tanh=cfg.cell_hidden_tanh,
                                 force_z=cfg.force_z)
                 z_history[t, idx] = state.z.data[:, 0]
@@ -243,8 +240,7 @@ class HMAN:
             head_inputs.extend(s.h for s in states)
         probs = _sequence_head(stacked, head_inputs, self.params["head.w"], self.params["head.b"])
         return BatchOutput(step_probs=probs, attention=attention, z_history=z_history,
-                           update_mask=update_mask, log_probs=log_probs, taus=taus,
-                           z_logits=z_logits)
+                           update_mask=update_mask, z_logits=z_logits)
 
     def predict_video(self, blocks: list[np.ndarray],
                       rng: np.random.Generator | None = None) -> tuple[int, np.ndarray]:

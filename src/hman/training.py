@@ -139,7 +139,7 @@ def metrics_header(layers: int, adaptive: bool) -> str:
 
 def metrics_row(m: EpochMetrics) -> str:
     cols = [str(m.epoch), str(m.iteration), repr(m.loss), repr(m.accuracy), repr(m.lr)]
-    cols += [repr(r) for r in m.update_rates]
+    cols += [repr(float(r)) for r in m.update_rates]
     cols.append(repr(m.baseline))
     if m.tau_min is not None:
         cols += [repr(m.tau_min), repr(m.tau_mean), repr(m.tau_max)]
@@ -206,8 +206,8 @@ class Trainer:
             out = self.model.forward_batch(x, rng=self.rng, train=True)
             if reinforce:
                 ll = hm.sequence_log_likelihood(out.step_probs, labels)
-                loss = at.reinforce_surrogate(out.log_probs, ll, self.baseline.value,
-                                              cfg.reinforce_lambda)
+                loss = at.reinforce_surrogate([a.log_prob for a in out.attention], ll,
+                                              self.baseline.value, cfg.reinforce_lambda)
                 batch_ce = -float(ll.data.mean())
             else:
                 loss = hm.batch_sequence_loss(out.step_probs, labels)
@@ -227,8 +227,8 @@ class Trainer:
             correct += int(np.sum(np.argmax(out.mean_probs(), axis=-1) == labels))
             rate_sum += out.update_mask.mean(axis=(0, 2))
             rate_batches += 1
-            if adaptive and out.taus:
-                taus.extend(float(v) for tv in out.taus for v in tv)
+            if adaptive:
+                taus.extend(float(v) for a in out.attention for v in np.ravel(a.tau))
 
         return EpochMetrics(
             epoch=epoch, iteration=self.iteration,

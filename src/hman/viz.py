@@ -58,7 +58,7 @@ def export_clip(out_dir, weights_per_step: np.ndarray, z_per_layer: np.ndarray,
     with open(out_dir / "attention.csv", "w", encoding="utf-8") as f:
         f.write("t," + ",".join(f"loc{i}" for i in range(weights_per_step.shape[1])) + "\n")
         for t in range(steps):
-            f.write(str(t) + "," + ",".join(repr(v) for v in weights_per_step[t]) + "\n")
+            f.write(str(t) + "," + ",".join(repr(float(v)) for v in weights_per_step[t]) + "\n")
     for layer in range(layers):
         write_pgm(out_dir / f"boundaries_l{layer + 1}.pgm", boundary_strip(z_per_layer[:, layer]))
     with open(out_dir / "boundaries.csv", "w", encoding="utf-8") as f:

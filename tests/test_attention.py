@@ -112,14 +112,13 @@ class TestGumbelHardAttend:
         params, h, x = scored_instance([5.0, 0.0, 0.0, 0.0], feats)
         noise = Tensor(np.zeros((1, K2)))
         res = at.gumbel_hard_attend(h, x, params, 0.3, noise=noise)
-        assert res.selected_index[0] == 0
         npt.assert_array_equal(res.weights.data, [[1.0, 0.0, 0.0, 0.0]])
         npt.assert_allclose(res.attended.data[0], feats[0], atol=1e-15)
 
     def test_weights_exactly_one_hot(self):
         rng = np.random.default_rng(32)
         params, h, x = make_instance(rng, batch=6)
-        res = at.gumbel_hard_attend(h, x, params, 0.3, rng=rng)
+        res = at.gumbel_hard_attend(h, x, params, 0.3, noise=st.sample_gumbel((6, K2), rng))
         w = res.weights.data
         assert np.all(np.sum(w == 1.0, axis=-1) == 1)
         assert np.all(np.sum(w == 0.0, axis=-1) == K2 - 1)
@@ -136,7 +135,7 @@ class TestGumbelHardAttend:
             tau = st.adaptive_tau(h, params.w_temp, params.b_temp)
             assert np.all(tau.data > 0) and np.all(tau.data <= 1.0)
             x = Tensor(rng.normal(size=(2, K2, D)))
-            res = at.gumbel_hard_attend(h, x, params, tau, rng=rng)
+            res = at.gumbel_hard_attend(h, x, params, tau, noise=st.sample_gumbel((2, K2), rng))
             assert np.all(np.isin(res.weights.data, (0.0, 1.0)))
 
     def test_selection_frequencies_match_location_softmax(self):
@@ -147,16 +146,16 @@ class TestGumbelHardAttend:
         params = at.AttentionParams(w_loc=Tensor(scores[:, None]))
         h = Tensor(np.ones((n, 1)))
         x = Tensor(np.zeros((n, K2, 1)))
-        res = at.gumbel_hard_attend(h, x, params, 0.5, rng=rng)
-        freq = np.bincount(res.selected_index, minlength=K2) / n
+        res = at.gumbel_hard_attend(h, x, params, 0.5, noise=st.sample_gumbel((n, K2), rng))
+        freq = np.bincount(np.argmax(res.weights.data, axis=-1), minlength=K2) / n
         expected = np.exp(scores) / np.exp(scores).sum()
         npt.assert_allclose(freq, expected, atol=0.01)
 
     def test_deterministic_mode_takes_argmax(self):
         feats = np.arange(K2 * D, dtype=float).reshape(K2, D)
         params, h, x = scored_instance([0.0, 0.0, 3.0, 0.0], feats)
-        res = at.gumbel_hard_attend(h, x, params, 0.3, deterministic=True)
-        assert res.selected_index[0] == 2
+        res = at.gumbel_hard_attend(h, x, params, 0.3)
+        npt.assert_array_equal(res.weights.data, [[0.0, 0.0, 1.0, 0.0]])
         npt.assert_allclose(res.attended.data[0], feats[2], atol=1e-15)
 
     def test_straight_through_gradient_equals_soft_sample(self):
@@ -184,8 +183,8 @@ class TestReinforceHardAttend:
         params, h, x = scored_instance([50.0, 0.0, 0.0, 0.0], feats)
         rng = np.random.default_rng(36)
         for _ in range(10):
-            res = at.reinforce_hard_attend(h, x, params, rng=rng, training=True)
-            assert res.selected_index[0] == 0
+            res = at.reinforce_hard_attend(h, x, params, uniforms=rng.random(1))
+            npt.assert_array_equal(res.weights.data, [[1.0, 0.0, 0.0, 0.0]])
             assert res.log_prob.data[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_sampling_frequencies_match_distribution(self):
@@ -195,22 +194,22 @@ class TestReinforceHardAttend:
         params = at.AttentionParams(w_loc=Tensor(scores[:, None]))
         h = Tensor(np.ones((n, 1)))
         x = Tensor(np.zeros((n, K2, 1)))
-        res = at.reinforce_hard_attend(h, x, params, rng=rng, training=True)
-        freq = np.bincount(res.selected_index, minlength=K2) / n
+        res = at.reinforce_hard_attend(h, x, params, uniforms=rng.random(n))
+        freq = np.bincount(np.argmax(res.weights.data, axis=-1), minlength=K2) / n
         expected = np.exp(scores) / np.exp(scores).sum()
         npt.assert_allclose(freq, expected, atol=0.01)
 
     def test_evaluation_takes_argmax(self):
         params, h, x = scored_instance([np.log(0.4), np.log(0.6)],
                                        np.arange(2 * D, dtype=float).reshape(2, D))
-        res = at.reinforce_hard_attend(h, x, params, training=False)
-        assert res.selected_index[0] == 1
+        res = at.reinforce_hard_attend(h, x, params)
+        npt.assert_array_equal(res.weights.data, [[0.0, 1.0]])
 
     def test_selection_carries_no_gradient(self):
         rng = np.random.default_rng(38)
         params, h, x = make_instance(rng)
         x.requires_grad = True  # gives the loss a path that bypasses the scores
-        res = at.reinforce_hard_attend(h, x, params, rng=rng, training=True)
+        res = at.reinforce_hard_attend(h, x, params, uniforms=rng.random(2))
         ad.backward(ad.sum_(res.attended))
         # attended = onehot-const . features: nothing reaches the score weights
         assert params.w_loc.grad is None or not np.any(params.w_loc.grad)
@@ -218,7 +217,7 @@ class TestReinforceHardAttend:
     def test_log_prob_does_carry_gradient(self):
         rng = np.random.default_rng(39)
         params, h, x = make_instance(rng)
-        res = at.reinforce_hard_attend(h, x, params, rng=rng, training=True)
+        res = at.reinforce_hard_attend(h, x, params, uniforms=rng.random(2))
         ad.backward(ad.sum_(res.log_prob))
         assert np.any(params.w_loc.grad)
 

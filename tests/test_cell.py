@@ -221,7 +221,7 @@ class TestNestedBoundaries:
         params = self._eager_detector(rng)
         prev, below_h, above_h = make_inputs(rng)
         prev.z = Tensor([[z_prev]])
-        for kw in ({"deterministic": True}, {}):
+        for kw in ({"noise": None}, {}):
             assert run_step(prev, below_h, 0.0, above_h, params, **kw).z.data[0, 0] == 0.0
             assert run_step(prev, below_h, 1.0, above_h, params, **kw).z.data[0, 0] == 1.0
 
@@ -230,30 +230,10 @@ class TestNestedBoundaries:
         params = make_params(rng)
         prev, below_h, above_h = make_inputs(rng)
         for below_z in (0.0, 1.0):
-            state = run_step(prev, below_h, below_z, above_h, params, deterministic=True)
+            state = run_step(prev, below_h, below_z, above_h, params, noise=None)
             *_, z_pre = manual_gates(params, prev.h.data, 0.0, below_h.data, below_z,
                                      above_h.data)
             npt.assert_allclose(state.z_logit.data, z_pre, atol=1e-12)
-
-
-class TestBoundaryNoise:
-    def test_rng_fallback_draws_the_pair_as_two_draws(self):
-        # one (2, B, 1) draw gives the values of the two (B, 1) draws a then b
-        rng = np.random.default_rng(19)
-        params = make_params(rng)
-        params.bias.data[0, 4 * HIDDEN] = 0.0  # detector near 0.5: the noise decides
-        prev = hc.LayerState(c=Tensor(rng.normal(size=(8, HIDDEN))),
-                             h=Tensor(rng.normal(size=(8, HIDDEN))), z=Tensor(np.zeros((8, 1))))
-        below_h = Tensor(rng.normal(size=(8, BELOW)))
-        above_h = Tensor(rng.normal(size=(8, HIDDEN)))
-        ones = Tensor(np.ones((8, 1)))
-        pair_rng = np.random.default_rng(17)
-        pair = np.stack([st.sample_gumbel((8, 1), pair_rng).data,
-                         st.sample_gumbel((8, 1), pair_rng).data])
-        got = hc.step(prev, below_h, ones, above_h, params, rng=np.random.default_rng(17))
-        want = hc.step(prev, below_h, ones, above_h, params, noise=pair)
-        assert 0.0 < want.z.data.mean() < 1.0
-        assert np.array_equal(got.z.data, want.z.data)
 
 
 class TestContracts:
@@ -280,19 +260,12 @@ class TestContracts:
         with pytest.raises(DimensionError):
             run_step(prev, below_h, 1.0, above_h, params)
 
-    def test_missing_noise_and_rng_rejected(self):
-        rng = np.random.default_rng(15)
-        params = make_params(rng)
-        prev, below_h, above_h = make_inputs(rng)
-        with pytest.raises(ContractError, match="rng"):
-            hc.step(prev, below_h, Tensor([[1.0]]), above_h, params)
-
     def test_deterministic_mode_is_reproducible_and_noise_free(self):
         rng = np.random.default_rng(16)
         params = make_params(rng)
         prev, below_h, above_h = make_inputs(rng)
-        a = hc.step(prev, below_h, Tensor([[1.0]]), above_h, params, deterministic=True)
-        b = hc.step(prev, below_h, Tensor([[1.0]]), above_h, params, deterministic=True)
+        a = hc.step(prev, below_h, Tensor([[1.0]]), above_h, params)
+        b = hc.step(prev, below_h, Tensor([[1.0]]), above_h, params)
         assert np.array_equal(a.c.data, b.c.data)
         assert np.array_equal(a.z.data, b.z.data)
         _, _, _, _, z_pre = manual_gates(params, prev.h.data, 0.0, below_h.data, 1.0, above_h.data)
@@ -301,12 +274,12 @@ class TestContracts:
 
 
 def reference_step(prev, below_h, below_z, above_h_prev, params, *, noise=None,
-                   tau=hc.BOUNDARY_TAU, soft_boundaries=False, deterministic=False,
-                   hidden_tanh=True, force_z=None):
+                   tau=hc.BOUNDARY_TAU, soft_boundaries=False, hidden_tanh=True,
+                   force_z=None):
     """The cell step composed of ``autodiff`` primitives, one tape node per op.
 
     This is the form the fused ops replace; it stays here as their oracle
-    (checks and the rng fallback left out: callers pass the noise).
+    (checks left out).
     """
     hidden = params.hidden
     s = (prev.h @ params.u_rec) + ((below_z * below_h) @ params.w_bot) + params.bias
@@ -321,7 +294,7 @@ def reference_step(prev, below_h, below_z, above_h_prev, params, *, noise=None,
 
     if force_z is not None:
         z = Tensor(np.full((s.shape[0], 1), float(force_z)))
-    elif deterministic:
+    elif noise is None:
         z = st.hard_threshold(ad.sigmoid(z_pre))
     else:
         soft_z = st.gumbel_sigmoid(z_pre, Tensor(noise[0]), Tensor(noise[1]), tau)
@@ -344,7 +317,7 @@ Z_PREV = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
 Z_BELOW = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
 BOUNDARY_MODES = {
     "noisy": {},
-    "deterministic": {"deterministic": True},
+    "deterministic": {"noise": None},
     "forced": {"force_z": 1.0},
     "soft": {"soft_boundaries": True},
 }
@@ -391,7 +364,7 @@ class TestFusedMatchesReference:
                    rng.normal(size=(batch, 1)), rng.normal(size=(batch, 1))]
         return params, inputs, noise, weights
 
-    def _run(self, step_fn, params, inputs, noise, weights, **kw):
+    def _run(self, step_fn, params, inputs, weights, **kw):
         leaves = dict(zip(("u_rec", "u_top", "w_bot", "bias"),
                           [params.u_rec, params.u_top, params.w_bot, params.bias]))
         leaves.update(inputs)
@@ -399,7 +372,7 @@ class TestFusedMatchesReference:
         ad.zero_grad(leaves.values())
         prev = hc.LayerState(c=inputs["prev.c"], h=inputs["prev.h"], z=inputs["prev.z"])
         state = step_fn(prev, inputs["below_h"], inputs["below_z"], inputs["above_h"], params,
-                        noise=noise, **kw)
+                        **kw)
         outs = [state.c, state.h, state.z, state.z_logit]
         loss = None
         for out, w in zip(outs, weights):
@@ -414,10 +387,10 @@ class TestFusedMatchesReference:
     @pytest.mark.parametrize("hidden_tanh", [True, False], ids=["tanh", "literal"])
     @pytest.mark.parametrize("mode", sorted(BOUNDARY_MODES))
     def test_values_bitwise_and_gradients_within_1e12(self, mode, hidden_tanh, top):
-        kw = dict(BOUNDARY_MODES[mode], hidden_tanh=hidden_tanh)
         params, inputs, noise, weights = self._case(top, relaxed=(mode == "soft"))
-        fused_out, fused_grads = self._run(hc.step, params, inputs, noise, weights, **kw)
-        ref_out, ref_grads = self._run(reference_step, params, inputs, noise, weights, **kw)
+        kw = dict({"noise": noise}, **BOUNDARY_MODES[mode], hidden_tanh=hidden_tanh)
+        fused_out, fused_grads = self._run(hc.step, params, inputs, weights, **kw)
+        ref_out, ref_grads = self._run(reference_step, params, inputs, weights, **kw)
         for got, want in zip(fused_out, ref_out):
             assert np.array_equal(got, want)
         if mode in ("noisy", "deterministic"):
@@ -442,7 +415,8 @@ class TestFusionGuard:
         below_h = Tensor(rng.normal(size=(2, BELOW)), requires_grad=True)
         below_z = Tensor([[1.0], [1.0]], requires_grad=True)
         above_h = Tensor(rng.normal(size=(2, HIDDEN)), requires_grad=True)
-        state = hc.step(prev, below_h, below_z, above_h, params, rng=rng)
+        state = hc.step(prev, below_h, below_z, above_h, params,
+                        noise=st.sample_gumbel((2, 2, 1), rng).data)
         # one consumer of every output, walked by the Tape that backward builds
         root = ad.concat([state.c, state.h, state.z, state.z_logit], axis=-1)
         ops = [node for node in ad.Tape(root).nodes if node._parents and node is not root]

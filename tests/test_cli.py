@@ -17,6 +17,13 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def assert_cells_are_floats(path):
+    """Every cell after the header reads back with ``float()``."""
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            float(cell)
+
+
 GEN_ARGS = ["gen-synth", "--classes", 4, "--vocab", 4, "--segments", 2,
             "--seg-len-min", 3, "--seg-len-max", 4, "--grid-side", 2,
             "--feat-dim", 5, "--train-per-class", 4, "--test-per-class", 2,
@@ -63,6 +70,15 @@ class TestGenSynth:
     def test_missing_required_flag_exits_one(self):
         assert run_cli("gen-synth") == 1
 
+    @pytest.mark.parametrize("flag, value", [("--grid-side", 0), ("--feat-dim", 0),
+                                             ("--train-per-class", -1),
+                                             ("--test-per-class", -1)])
+    def test_out_of_range_size_exits_one_naming_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run_cli("gen-synth", "--out", out, flag, value) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_produces_checkpoints_metrics_and_run_config(self, trained):
@@ -73,6 +89,7 @@ class TestTrain:
         lines = (trained / "metrics.csv").read_text().strip().splitlines()
         assert lines[0].startswith("epoch,iteration,loss,accuracy,lr,update_rate_l1")
         assert len(lines) == 3
+        assert_cells_are_floats(trained / "metrics.csv")
 
     def test_determinism_identical_metrics(self, dataset, tmp_path):
         outs = []
@@ -127,6 +144,7 @@ class TestTrain:
         header = (out / "metrics.csv").read_text().splitlines()[0]
         if mode == "gumbel-adaptive":
             assert header.endswith("tau_min,tau_mean,tau_max")
+        assert_cells_are_floats(out / "metrics.csv")
 
 
 class TestEval:
@@ -251,6 +269,23 @@ class TestViz:
         assert (out / "boundaries_l2.pgm").exists()
         assert (out / "boundary_alignment.csv").exists()
         assert "boundary F1" in capsys.readouterr().out
+        for name in ("attention.csv", "boundaries.csv", "boundary_alignment.csv"):
+            assert_cells_are_floats(out / name)
+
+    def test_forward_runs_with_gradients_off(self, dataset, trained, tmp_path, monkeypatch):
+        outputs = []
+        forward = hm.HMAN.forward_batch
+
+        def recording_forward(self, *a, **k):
+            outputs.append(forward(self, *a, **k))
+            return outputs[-1]
+
+        monkeypatch.setattr(hm.HMAN, "forward_batch", recording_forward)
+        assert run_cli("viz", "--checkpoint", trained / "ckpt_epoch_002.hman",
+                       "--data", dataset, "--out", tmp_path / "v") == 0
+        assert len(outputs) == 1
+        assert not outputs[0].step_probs.requires_grad
+        assert not any(res.attended.requires_grad for res in outputs[0].attention)
 
     def test_soft_attention_raster_is_max_normalized(self, dataset, trained, tmp_path):
         out = tmp_path / "viz2"

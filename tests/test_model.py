@@ -123,15 +123,15 @@ class TestAttentionModes:
         rng = np.random.default_rng(9)
         model = tiny_model(7, attention="reinforce")
         out = model.forward_batch(rng.normal(size=(2, 3, K2, FEAT)), rng=rng, train=True)
-        assert len(out.log_probs) == 3
-        assert all(lp.shape == (2, 1) for lp in out.log_probs)
+        assert len(out.attention) == 3
+        assert all(res.log_prob.shape == (2, 1) for res in out.attention)
 
     def test_adaptive_mode_logs_tau_per_step_in_unit_interval(self):
         rng = np.random.default_rng(10)
         model = tiny_model(8, attention="gumbel-adaptive")
         out = model.forward_batch(rng.normal(size=(2, 4, K2, FEAT)), rng=rng, train=True)
-        assert len(out.taus) == 4
-        values = np.concatenate(out.taus)
+        assert len(out.attention) == 4
+        values = np.concatenate([np.ravel(res.tau) for res in out.attention])
         assert np.all(values > 0) and np.all(values <= 1.0)
         # tau is recomputed from the moving hidden state, so steps differ
         assert len({round(float(v), 12) for v in values}) > 1
@@ -335,7 +335,7 @@ class TestTapeSize:
 
 class TestBoundaryNoiseStream:
     """One draw per step for every layer's boundary noise, after attention, is the
-    stream that the per-layer draws inside ``hc.step`` consumed."""
+    stream of one (2, B, 1) draw per layer, made as each layer steps."""
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval-sampled"])
     @pytest.mark.parametrize("mode", hm.ATTENTION_MODES)
@@ -345,15 +345,42 @@ class TestBoundaryNoiseStream:
             model.params[f"layer{layer}.bias"].data[0, 4 * 5] = 0.5
         x = np.random.default_rng(24).normal(size=(4, 7, K2, FEAT))
         got = model.forward_batch(x, rng=np.random.default_rng(25), train=train)
-        # reference: no per-step draw, so every hc.step draws its own pair from the rng
+        # reference: no per-step draw; each layer's hc.step gets its own pair,
+        # drawn from the forward's rng just before the layer steps
+        rng = np.random.default_rng(25)
         sample_gumbel, step = stu.sample_gumbel, hc.step
-        monkeypatch.setattr(stu, "sample_gumbel", lambda shape, rng: Tensor(np.zeros(shape))
-                            if len(shape) == 4 else sample_gumbel(shape, rng))
-        monkeypatch.setattr(hc, "step", lambda *a, noise=None, **k: step(*a, **k))
-        want = model.forward_batch(x, rng=np.random.default_rng(25), train=train)
+        monkeypatch.setattr(stu, "sample_gumbel", lambda shape, r: Tensor(np.zeros(shape))
+                            if len(shape) == 4 else sample_gumbel(shape, r))
+
+        def own_pair_step(*a, noise, **k):
+            return step(*a, noise=sample_gumbel((2, 4, 1), rng).data, **k)
+
+        monkeypatch.setattr(hc, "step", own_pair_step)
+        want = model.forward_batch(x, rng=rng, train=train)
         assert 0.0 < want.z_history[:, 1:].mean() < 1.0
         assert np.array_equal(got.z_history, want.z_history)
         assert np.array_equal(got.step_probs.data, want.step_probs.data)
+
+
+class TestRandomDraws:
+    """Each forward draws exactly the uniforms its mode needs, and no more."""
+
+    @pytest.mark.parametrize("run", ["train", "eval-deterministic", "eval-sampled"])
+    @pytest.mark.parametrize("mode", hm.ATTENTION_MODES)
+    def test_rng_advances_by_the_mode_budget(self, mode, run):
+        layers, batch, steps = 3, 4, 5
+        eval_z = "sampled" if run == "eval-sampled" else "deterministic"
+        model = tiny_model(26, layers=layers, attention=mode, eval_z=eval_z)
+        rng = np.random.default_rng(27)
+        model.forward_batch(np.random.default_rng(28).normal(size=(batch, steps, K2, FEAT)),
+                            rng=rng, train=run == "train")
+        boundary = 2 * layers * batch
+        attention = {"soft": 0, "reinforce": batch}.get(mode, batch * K2)
+        per_step = {"train": attention + boundary, "eval-deterministic": 0,
+                    "eval-sampled": boundary}[run]
+        expected = np.random.default_rng(27)
+        expected.random(steps * per_step)
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestBoundaryRule:
