@@ -117,10 +117,18 @@ def _resolve(args: argparse.Namespace, table: dict, required: tuple[str, ...]) -
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object of option values, "
+                              f"not {type(loaded).__name__}")
         for key, value in loaded.items():
             if key not in table:
                 raise ConfigError(f"config file {path} has unknown option {key!r}")
-            merged[key] = table[key][0](value)
+            typ = table[key][0]
+            try:
+                merged[key] = typ(value)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ConfigError(f"config file {path}: option {key!r} needs a {typ.__name__}, "
+                                  f"got {value!r}") from e
     for name in table:
         value = getattr(args, name)
         if value is not None:

@@ -246,11 +246,14 @@ class HMAN:
                       rng: np.random.Generator | None = None) -> tuple[int, np.ndarray]:
         """Average per-step predictions within each block, then across blocks.
 
-        Runs in evaluation mode through :func:`score_clips`: hard attention
+        Runs in evaluation mode through :func:`score_clips`: the blocks are
+        sorted by length, zero-padded at the end and scored together, and
+        each block is averaged over its own steps only.  Hard attention
         selects by argmax and, with the default ``eval_z``, boundary bits
         are noise-free and ``rng`` is never drawn from.  With
         ``eval_z="sampled"`` the boundary noise comes from ``rng``, or from
-        a generator seeded with ``EVAL_NOISE_SEED`` (0) when none is given.
+        a generator seeded with ``EVAL_NOISE_SEED`` (0) when none is given,
+        and a block's noise depends on the blocks it is scored with.
         Ties resolve to the lowest class index.
         """
         if rng is None:
@@ -272,32 +275,43 @@ def score_clips(model: HMAN, clips: list[list[np.ndarray]],
                 rng: np.random.Generator) -> np.ndarray:
     """Block-averaged class probabilities of every clip, as an (N, C) array.
 
-    ``clips[i]`` holds clip i's (T_b, K*K, D) blocks.  Blocks of equal
-    shape, from any clip, are stacked and scored together in evaluation
-    mode under ``no_grad``, at most ``EVAL_CHUNK_ROWS`` per forward, in
-    order of block length.  Each block's per-step mean probabilities go
-    back to its clip, and a clip's row is the mean over its blocks in
-    their own order.  With ``eval_z="sampled"`` each forward draws its
-    chunk's boundary noise from ``rng``, so a clip's noise depends on
-    the blocks it shares a chunk with.
+    ``clips[i]`` holds clip i's (T_b, K*K, D) blocks.  All blocks, from
+    every clip, are sorted by length (ties keep their input order) and
+    cut into chunks of at most ``EVAL_CHUNK_ROWS``.  Each chunk is
+    zero-padded at the end to its longest block and scored by one
+    forward in evaluation mode under ``no_grad``.  The recurrence is
+    causal, so padding leaves a block's own steps unchanged, and each
+    block's row is the mean of its per-step probabilities over its own
+    T_b steps only.  A clip's row is the mean over its blocks in their
+    own order.  With ``eval_z="sampled"`` each forward draws its chunk's
+    boundary noise from ``rng``, padded steps included, so a clip's noise
+    depends on the blocks it shares a chunk with.
     """
     if not all(clips):
         raise ContractError("every clip needs at least one block")
-    blocks = [np.asarray(b, dtype=np.float64) for clip in clips for b in clip]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, block in enumerate(blocks):
-        groups.setdefault(block.shape, []).append(k)
-    rows = np.zeros((len(blocks), model.config.classes))
+    cfg = model.config
+    blocks = []
+    for i, clip in enumerate(clips):
+        for b, block in enumerate(clip):
+            block = np.asarray(block, dtype=np.float64)
+            if block.ndim != 3 or block.shape[0] < 1 or \
+                    block.shape[1:] != (cfg.locations, cfg.feat_dim):
+                raise ConfigError(f"clip {i} block {b} has shape {block.shape}, expected "
+                                  f"(T >= 1, {cfg.locations}, {cfg.feat_dim})")
+            blocks.append(block)
+    order = sorted(range(len(blocks)), key=lambda k: len(blocks[k]))
+    rows = np.zeros((len(blocks), cfg.classes))
     with ad.no_grad():
-        for shape in sorted(groups):
-            members = groups[shape]
-            for start in range(0, len(members), EVAL_CHUNK_ROWS):
-                chunk = members[start:start + EVAL_CHUNK_ROWS]
-                out = model.forward_batch(np.stack([blocks[k] for k in chunk]),
-                                          rng=rng, train=False)
-                rows[chunk] = out.mean_probs()
+        for start in range(0, len(order), EVAL_CHUNK_ROWS):
+            chunk = order[start:start + EVAL_CHUNK_ROWS]
+            padded = np.zeros((len(chunk), len(blocks[chunk[-1]]), cfg.locations, cfg.feat_dim))
+            for j, k in enumerate(chunk):
+                padded[j, :len(blocks[k])] = blocks[k]
+            probs = model.forward_batch(padded, rng=rng, train=False).step_probs.data
+            for j, k in enumerate(chunk):
+                rows[k] = np.mean(probs[:len(blocks[k]), j], axis=0)
     bounds = np.cumsum([0] + [len(clip) for clip in clips])
-    scores = np.zeros((len(clips), model.config.classes))
+    scores = np.zeros((len(clips), cfg.classes))
     for i in range(len(clips)):
         scores[i] = np.mean(rows[bounds[i]:bounds[i + 1]], axis=0)
     return scores

@@ -147,6 +147,26 @@ class TestTrain:
         assert_cells_are_floats(out / "metrics.csv")
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("command,loaded,named", [
+        ("eval", {"block_len": "sixty"}, "'block_len'"),
+        ("train", {"lr": None}, "'lr'"),
+        ("train", [1, 2], "JSON object"),
+    ])
+    def test_config_value_of_wrong_type_exits_one_naming_file_and_key(
+            self, dataset, trained, tmp_path, capsys, command, loaded, named):
+        cfg_path = tmp_path / "f.json"
+        cfg_path.write_text(json.dumps(loaded))
+        out = tmp_path / "o"
+        args = {"train": ["--data", dataset, "--out", out],
+                "eval": ["--checkpoint", trained / "ckpt_epoch_002.hman",
+                         "--data", dataset, "--out", out]}[command]
+        assert run_cli(command, "--config", cfg_path, *args) == 1
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and named in err
+        assert not out.exists()
+
+
 class TestEval:
     def test_reports_accuracy_and_confusion(self, dataset, trained, tmp_path, capsys):
         out = tmp_path / "report"

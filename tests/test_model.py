@@ -444,7 +444,7 @@ class TestBoundaryRule:
 
 
 class _FixedModel(hm.HMAN):
-    """forward_batch stub returning one scripted probability row per input row."""
+    """forward_batch stub: one scripted probability row per input row, at every step."""
 
     def __init__(self, script):
         super().__init__(tiny_config(), np.random.default_rng(0))
@@ -452,14 +452,11 @@ class _FixedModel(hm.HMAN):
         self._rows = 0
 
     def forward_batch(self, x, rng=None, train=True, **kw):
-        probs = self._script[self._rows:self._rows + len(x)]
+        probs = np.asarray(self._script[self._rows:self._rows + len(x)])
         self._rows += len(x)
-
-        class _Out:
-            def mean_probs(self_inner):
-                return np.asarray(probs)
-
-        return _Out()
+        steps = np.broadcast_to(probs, (x.shape[1], *probs.shape))  # (T, B, C)
+        return hm.BatchOutput(step_probs=Tensor(steps), attention=[],
+                              z_history=np.zeros(0), update_mask=np.zeros(0))
 
 
 class TestPredictVideo:
@@ -492,6 +489,41 @@ class TestPredictVideo:
     def test_empty_blocks_rejected(self):
         with pytest.raises(ContractError):
             tiny_model().predict_video([])
+
+
+class TestScoreClips:
+    @pytest.mark.parametrize("mode", hm.ATTENTION_MODES)
+    def test_padding_leaks_nothing_into_real_steps(self, mode, monkeypatch):
+        rng = np.random.default_rng(30)
+        model = tiny_model(31, layers=3, attention=mode)
+        for layer in (1, 2, 3):  # zero input moves the state; detectors near 0.5
+            bias = model.params[f"layer{layer}.bias"].data
+            bias[:] = rng.normal(size=bias.shape)
+            bias[0, 4 * 5] = 0.0
+        lengths = [5, 1, 3, 7, 2, 4, 6, 3]  # 1...7 in one chunk, out of order
+        blocks = [rng.normal(size=(t, K2, FEAT)) for t in lengths]
+        with ad.no_grad():
+            want = np.array([model.forward_batch(b[None], train=False).mean_probs()[0]
+                             for b in blocks])
+        sizes = []
+        original = hm.HMAN.forward_batch
+
+        def counting(self, x, *args, **kwargs):
+            sizes.append(x.shape[:2])
+            return original(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(hm.HMAN, "forward_batch", counting)
+        got = hm.score_clips(model, [[b] for b in blocks], np.random.default_rng(0))
+        assert sizes == [(len(blocks), max(lengths))]
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, K2 + 1, FEAT), (3, K2, FEAT + 1), (3, K2 * FEAT),
+                                       (0, K2, FEAT)])
+    def test_malformed_block_among_good_ones_names_it(self, shape):
+        good = np.zeros((4, K2, FEAT))
+        clips = [[good], [good, np.zeros(shape), good]]
+        with pytest.raises(ConfigError, match=rf"clip 1 block 1 has shape \({shape[0]}, "):
+            hm.score_clips(tiny_model(), clips, np.random.default_rng(0))
 
 
 class TestCheckpoint:

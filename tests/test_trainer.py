@@ -256,13 +256,47 @@ class TestEvaluate:
         report = ht.evaluate(model, samples, block_len=block_len)
         monkeypatch.undo()
         assert len({b.shape[0] for blocks in clips for b in blocks}) == 3
-        assert sum(sizes) == sum(len(blocks) for blocks in clips)
-        assert max(sizes) == hm.EVAL_CHUNK_ROWS and len(sizes) == 4  # 3 lengths, one split
+        # all lengths in one sorted stream, cut into ceil(blocks / 64) chunks
+        full, rest = divmod(sum(len(blocks) for blocks in clips), hm.EVAL_CHUNK_ROWS)
+        assert sizes == [hm.EVAL_CHUNK_ROWS] * full + [rest] * (rest > 0) == [64, 48]
         npt.assert_array_equal(report.confusion, expected)
 
         got = hm.score_clips(model, clips, np.random.default_rng(0))
         npt.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_sampled_evaluation_repeats_and_draws_one_stream_per_chunk(self, small_dataset,
+                                                                       monkeypatch):
+        _, train, test = small_dataset
+        samples = train + test
+        block_len, layers = 3, 2
+        model = small_trainer(eval_z="sampled", layers=layers).model
+        seen = []  # (rng, B, T_max) of every forward
+        original = hm.HMAN.forward_batch
+
+        def recording(self, x, rng=None, *args, **kwargs):
+            seen.append((rng, x.shape[0], x.shape[1]))
+            return original(self, x, rng, *args, **kwargs)
+
+        monkeypatch.setattr(hm.HMAN, "forward_batch", recording)
+        first = ht.evaluate(model, samples, block_len=block_len, with_ap=True)
+        streams = {id(rng) for rng, _, _ in seen}
+        rng = seen[0][0]
+        chunks = [(b, t) for _, b, t in seen]
+        second = ht.evaluate(model, samples, block_len=block_len, with_ap=True)
+        monkeypatch.undo()
+        npt.assert_array_equal(first.confusion, second.confusion)
+        assert first.average_precision == second.average_precision
+
+        # chunks follow the blocks sorted by length, each as long as its longest block
+        lengths = sorted(len(b) for s in samples for b in ht.split_blocks(s.features, block_len))
+        step = hm.EVAL_CHUNK_ROWS
+        assert chunks == [(len(lengths[i:i + step]), lengths[i:i + step][-1])
+                          for i in range(0, len(lengths), step)]
+        assert len(streams) == 1
+        expected = np.random.default_rng(hm.EVAL_NOISE_SEED)
+        expected.random(sum(t * 2 * layers * b for b, t in chunks))
+        assert rng.bit_generator.state == expected.bit_generator.state
 
     def test_empty_split_gives_zero_confusion_and_nan_rates(self):
         report = ht.evaluate(small_trainer().model, [], block_len=3, with_ap=True)
