@@ -22,7 +22,6 @@ from . import stochastic as st
 from .autodiff import Tensor
 
 BASELINE_DECAY = 0.9
-LOG_FLOOR = 1e-12
 
 
 @dataclass
@@ -61,8 +60,9 @@ def soft_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams) -> A
 
     ``h1_prev`` is (B, d), ``features`` is (B, K*K, D).  The scores, the
     softmax and the mix run as one tape op that repeats the arithmetic
-    of ``location_scores``, ``autodiff.softmax`` and ``autodiff.attend_mix``
-    in their order, so its values are theirs bitwise.
+    of ``location_scores`` and ``autodiff.attend_mix`` and calls the
+    kernels of ``autodiff.softmax``, in their order, so its values are
+    theirs bitwise.
     """
     w_loc = params.w_loc
     if h1_prev.ndim != 2 or w_loc.ndim != 2 or features.ndim != 3 \
@@ -71,12 +71,11 @@ def soft_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams) -> A
         raise ad.DimensionError(f"soft attention shapes incompatible: state {h1_prev.shape}, "
                                 f"score rows {w_loc.shape}, features {features.shape}")
     scores = h1_prev.data @ np.ascontiguousarray(w_loc.data.T)
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    weights = e / np.sum(e, axis=-1, keepdims=True)
+    weights = ad._softmax(scores, -1)
 
     def backward_fn(g: np.ndarray) -> None:
         g_weights = np.einsum("bd,bkd->bk", g, features.data)
-        g_scores = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+        g_scores = ad._softmax_adjoint(weights, g_weights, -1)
         if h1_prev.requires_grad:
             ad._accumulate(h1_prev, g_scores @ w_loc.data)
         if w_loc.requires_grad:
@@ -102,7 +101,7 @@ def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParam
     """
     scores = location_scores(h1_prev, params)
     if noise is None:
-        weights = Tensor(_onehot(np.argmax(scores.data, axis=-1), scores.shape[-1]))
+        weights = Tensor(st._onehot(np.argmax(scores.data, axis=-1), scores.shape[-1]))
         return AttentionResult(weights=weights, attended=ad.attend_mix(weights, features))
     soft = st.gumbel_softmax(scores, noise, tau)
     weights = soft if soft_sample else st.hard_onehot(soft)
@@ -121,16 +120,10 @@ def reinforce_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionPa
     """
     alpha = ad.softmax(location_scores(h1_prev, params), axis=-1)
     idx = np.argmax(alpha.data, axis=-1) if uniforms is None else _sample_rows(alpha.data, uniforms)
-    weights = Tensor(_onehot(idx, alpha.shape[-1]))
+    weights = Tensor(st._onehot(idx, alpha.shape[-1]))
     attended = ad.attend_mix(weights, features)
-    log_prob = ad.clipped_log(ad.take_rows(alpha, idx), LOG_FLOOR)
+    log_prob = ad.clipped_log(ad.take_rows(alpha, idx))
     return AttentionResult(weights=weights, attended=attended, log_prob=log_prob)
-
-
-def _onehot(idx: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros((idx.shape[0], width))
-    out[np.arange(idx.shape[0]), idx] = 1.0
-    return out
 
 
 def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:

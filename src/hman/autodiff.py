@@ -240,6 +240,30 @@ def zero_grad(tensors: Iterable[Tensor]) -> None:
         t.zero_grad()
 
 
+# -- kernels ----------------------------------------------------------------
+# Array arithmetic of the primitives below, which the fused ops of ``cell``,
+# ``attention`` and ``model`` call too: each rule is written once, so a fused
+# op's values are bitwise those of its op-by-op form.
+
+LOG_FLOOR = 1e-12  # clipped_log's default floor; its adjoint is zero below it
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic in tanh form, which is stable across the whole float64 range."""
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along ``axis``, shifted by the maximum so exp cannot overflow."""
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _softmax_adjoint(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The input adjoint of ``y = _softmax(x, axis)`` given the output adjoint ``g``."""
+    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+
+
 # -- elementwise arithmetic -----------------------------------------------
 
 
@@ -298,8 +322,7 @@ def neg(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _ensure_tensor(a)
-    # tanh form is stable across the whole float64 range
-    data = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    data = _sigmoid(a.data)
 
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g * data * (1.0 - data))
@@ -320,7 +343,7 @@ def tanh(a) -> Tensor:
 def softplus(a) -> Tensor:
     a = _ensure_tensor(a)
     data = np.logaddexp(0.0, a.data)
-    sig = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    sig = _sigmoid(a.data)
 
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g * sig)
@@ -328,7 +351,7 @@ def softplus(a) -> Tensor:
     return Tensor._from_op(data, (a,), backward_fn)
 
 
-def clipped_log(a, floor: float = 1e-12) -> Tensor:
+def clipped_log(a, floor: float = LOG_FLOOR) -> Tensor:
     """log(max(a, floor)); the adjoint is zero where the floor is active."""
     a = _ensure_tensor(a)
     clipped = np.maximum(a.data, floor)
@@ -374,13 +397,10 @@ def transpose(a) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Row-stable softmax (max subtraction); outputs sum to 1 along ``axis``."""
     a = _ensure_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / np.sum(e, axis=axis, keepdims=True)
+    data = _softmax(a.data, axis)
 
     def backward_fn(g: np.ndarray) -> None:
-        inner = np.sum(g * data, axis=axis, keepdims=True)
-        _accumulate(a, data * (g - inner))
+        _accumulate(a, _softmax_adjoint(data, g, axis))
 
     return Tensor._from_op(data, (a,), backward_fn)
 
@@ -406,23 +426,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _ensure_tensor(a)
     count = a.size if axis is None else a.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    tensors = [_ensure_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractError("concat needs at least one tensor")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
-
-    return Tensor._from_op(data, tuple(tensors), backward_fn)
 
 
 def read(owner: Tensor, index) -> Tensor:
@@ -451,20 +454,6 @@ def read(owner: Tensor, index) -> Tensor:
         out.grad = None
         out._owner = None
     return out
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the last axis."""
-    a = _ensure_tensor(a)
-    data = np.ascontiguousarray(a.data[..., start:stop])
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            full = np.zeros(a.shape)
-            full[..., start:stop] = g
-            _accumulate(a, full)
-
-    return Tensor._from_op(data, (a,), backward_fn)
 
 
 def take_rows(a, index: np.ndarray) -> Tensor:

@@ -38,9 +38,10 @@ of those ops, which record no node of their own:
   and the (B, 1) branch weights; its backward reaches s, c_prev, h_prev,
   z_prev and z_below.
 
-Each op repeats the element-wise arithmetic of the op-by-op form in the
-same order, so forward values are bitwise those of composing ``autodiff``
-primitives.
+Each op calls the kernels of the ``autodiff`` primitives it fuses (the
+logistic is ``autodiff._sigmoid``) and keeps the op-by-op order of the rest
+of its element-wise arithmetic, so forward values are bitwise those of
+composing the primitives.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from . import autodiff as ad
 from . import stochastic as st
 from .autodiff import ContractError, Tensor
 
-BOUNDARY_TAU = st.BOUNDARY_TAU
 # Boundary-detector bias at initialisation: sigmoid(-1) ~ 0.27 rather than
 # 0.5, so a fresh model is not flushed at random on every other step before
 # it has learnt where boundaries are.
@@ -179,7 +179,7 @@ def _boundary(pre: Tensor, below_z: Tensor, noise_a, noise_b, tau: float,
     backward is straight-through: the threshold passes its adjoint
     unchanged to the sigmoid.
     """
-    y = 0.5 * (np.tanh(0.5 * (((pre.data + noise_a) - noise_b) / tau)) + 1.0)
+    y = ad._sigmoid(((pre.data + noise_a) - noise_b) / tau)
     bit = y if soft else (y >= 0.5).astype(np.float64)
     zb = below_z.data
 
@@ -198,7 +198,7 @@ def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
     stacked along a new first axis."""
     n = hidden
     c_prev, h_prev, z_prev = prev.c, prev.h, prev.z
-    gates = 0.5 * (np.tanh(0.5 * s.data[:, :3 * n]) + 1.0)  # [i | f | o]
+    gates = ad._sigmoid(s.data[:, :3 * n])  # [i | f | o]
     i, f, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
     g = np.tanh(s.data[:, 3 * n:4 * n])
     zp, zb = z_prev.data, below_z.data
@@ -246,7 +246,7 @@ def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
 
 def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
          above_h_prev: Tensor | None, params: LayerParams, *,
-         noise: np.ndarray | None = None, tau: float = BOUNDARY_TAU,
+         noise: np.ndarray | None = None, tau: float = st.BOUNDARY_TAU,
          soft_boundaries: bool = False, hidden_tanh: bool = True,
          force_z: float | None = None) -> LayerState:
     """Advance one layer by one time step.

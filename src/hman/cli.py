@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 user/config error, 2 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -33,43 +34,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _owned(owner, **help_texts: str) -> dict:
+    """Options whose types and defaults are those of the same-named attributes
+    of ``owner``: the config fields they set."""
+    return {name: (type(getattr(owner, name)), getattr(owner, name), text)
+            for name, text in help_texts.items()}
+
+
 # option tables: name -> (type, default, help); bools are 0/1 ints
 GEN_OPTS = {
     "out": (str, None, "output dataset directory"),
-    "classes": (int, 8, "number of classes"),
-    "vocab": (int, 6, "sub-action vocabulary size"),
-    "segments": (int, 3, "segments per clip"),
-    "seg_len_min": (int, 5, "minimum frames per segment"),
-    "seg_len_max": (int, 10, "maximum frames per segment"),
-    "grid_side": (int, 4, "attention grid side K"),
-    "feat_dim": (int, 16, "feature depth D"),
-    "noise": (float, 0.1, "feature noise sigma"),
-    "train_per_class": (int, 100, "training clips per class"),
-    "test_per_class": (int, 25, "test clips per class"),
-    "seed": (int, 0, "generator seed"),
+    **_owned(hd.SyntheticSpec, classes="number of classes", vocab="sub-action vocabulary size",
+             segments="segments per clip", seg_len_min="minimum frames per segment",
+             seg_len_max="maximum frames per segment", grid_side="attention grid side K",
+             feat_dim="feature depth D", noise="feature noise sigma",
+             train_per_class="training clips per class", test_per_class="test clips per class",
+             seed="generator seed"),
 }
 
+# the ModelConfig fields that train options set by name; hidden_tanh and
+# force_z set the others through their CLI encodings
+_MODEL_FIELDS = ("attention", "layers", "hidden", "eval_z", "attention_tau", "boundary_tau")
 TRAIN_OPTS = {
     "data": (str, None, "dataset directory (with manifest.json)"),
     "out": (str, None, "run output directory"),
-    "attention": (str, "soft", "soft | reinforce | gumbel-constant | gumbel-adaptive"),
-    "layers": (int, 3, "stack depth"),
-    "hidden": (int, 128, "hidden units per layer"),
-    "hidden_tanh": (int, 1, "1: h = o*tanh(c); 0: literal h = o*c"),
-    "eval_z": (str, "deterministic", "boundary bits at evaluation: deterministic | sampled"),
-    "attention_tau": (float, 0.3, "constant attention temperature"),
-    "boundary_tau": (float, 0.3, "boundary-detector temperature"),
+    **_owned(hm.ModelConfig, attention="soft | reinforce | gumbel-constant | gumbel-adaptive",
+             layers="stack depth", hidden="hidden units per layer"),
+    "hidden_tanh": (int, int(hm.ModelConfig.cell_hidden_tanh),
+                    "1: h = o*tanh(c); 0: literal h = o*c"),
+    **_owned(hm.ModelConfig, eval_z="boundary bits at evaluation: deterministic | sampled",
+             attention_tau="constant attention temperature",
+             boundary_tau="boundary-detector temperature"),
     "force_z": (str, "", "force every boundary bit to 0 or 1 (baseline configs)"),
-    "batch_size": (int, 64, "clips per mini-batch"),
-    "window": (int, 60, "frames per training clip"),
-    "lr": (float, 1e-4, "base learning rate"),
-    "lr_drop": (float, 1e-5, "learning rate after the drop"),
-    "lr_drop_after": (int, 10_000, "iterations at the base rate"),
-    "clip_norm": (float, 5.0, "global gradient-norm clip"),
-    "reinforce_lambda": (float, 1.0, "score-function term weight"),
-    "frame_sampling": (str, "window", "window | random"),
-    "epochs": (int, 30, "training epochs"),
-    "seed": (int, 0, "run seed"),
+    **_owned(ht.TrainConfig, batch_size="clips per mini-batch",
+             window="frames per training clip", lr="base learning rate",
+             lr_drop="learning rate after the drop", lr_drop_after="iterations at the base rate",
+             clip_norm="global gradient-norm clip", reinforce_lambda="score-function term weight",
+             frame_sampling="window | random", epochs="training epochs", seed="run seed"),
     "eval_every": (int, 0, "evaluate the test split every N epochs (0: never)"),
 }
 
@@ -94,7 +95,7 @@ VIZ_OPTS = {
 
 GRAD_OPTS = {
     "fixed_noise_seed": (int, 0, "seed for the frozen noise streams"),
-    "tolerance": (float, 1e-4, "worst allowed relative error"),
+    "tolerance": (float, gc.FD_TOLERANCE, "worst allowed relative error"),
     "inject_fault": (int, 0, "test hook: corrupt one gradient to prove detection"),
 }
 
@@ -105,6 +106,15 @@ def _add_options(parser: argparse.ArgumentParser, table: dict) -> None:
     for name, (typ, _default, help_text) in table.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None,
                             dest=name, help=help_text)
+
+
+def _convert(typ, value):
+    """``typ(value)`` for a --config value, which JSON may give as a bool or a
+    float: a bool is no number, and an int option takes no fraction."""
+    if typ is not str and (isinstance(value, bool) or (
+            typ is int and isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"{value!r} is not a {typ.__name__}")
+    return typ(value)
 
 
 def _resolve(args: argparse.Namespace, table: dict, required: tuple[str, ...]) -> dict:
@@ -125,7 +135,7 @@ def _resolve(args: argparse.Namespace, table: dict, required: tuple[str, ...]) -
                 raise ConfigError(f"config file {path} has unknown option {key!r}")
             typ = table[key][0]
             try:
-                merged[key] = typ(value)
+                merged[key] = _convert(typ, value)
             except (TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"config file {path}: option {key!r} needs a {typ.__name__}, "
                                   f"got {value!r}") from e
@@ -179,22 +189,15 @@ def cmd_gen_synth(args) -> int:
 def _model_config_from(opts: dict, manifest: hd.Manifest) -> hm.ModelConfig:
     force = opts["force_z"].strip()
     return hm.ModelConfig(
-        layers=opts["layers"], hidden=opts["hidden"],
         grid_side=manifest.grid_side, feat_dim=manifest.feat_dim,
-        classes=len(manifest.classes), attention=opts["attention"],
-        cell_hidden_tanh=bool(opts["hidden_tanh"]), eval_z=opts["eval_z"],
-        attention_tau=opts["attention_tau"], boundary_tau=opts["boundary_tau"],
+        classes=len(manifest.classes), cell_hidden_tanh=bool(opts["hidden_tanh"]),
         force_z=None if force == "" else float(force),
+        **{name: opts[name] for name in _MODEL_FIELDS},
     )
 
 
 def _train_config_from(opts: dict) -> ht.TrainConfig:
-    return ht.TrainConfig(
-        batch_size=opts["batch_size"], window=opts["window"], lr=opts["lr"],
-        lr_drop=opts["lr_drop"], lr_drop_after=opts["lr_drop_after"],
-        clip_norm=opts["clip_norm"], reinforce_lambda=opts["reinforce_lambda"],
-        frame_sampling=opts["frame_sampling"], epochs=opts["epochs"], seed=opts["seed"],
-    )
+    return ht.TrainConfig(**{f.name: opts[f.name] for f in dataclasses.fields(ht.TrainConfig)})
 
 
 def cmd_train(args) -> int:

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, field_error
 
 HMFT_MAGIC = b"HMFT"
 HMFT_VERSION = 1
@@ -222,13 +222,12 @@ class SyntheticSpec:
                             ("train_per_class", 0), ("test_per_class", 0)):
             value = getattr(self, name)
             if value < least:
-                raise ConfigError(f"{name} (--{name.replace('_', '-')}) must be at least "
-                                  f"{least}, got {value}")
+                raise field_error(name, f"at least {least}", value)
         if self.seg_len_min < 1 or self.seg_len_max < self.seg_len_min:
             raise ConfigError(
                 f"segment length range [{self.seg_len_min}, {self.seg_len_max}] is empty")
-        if self.noise < 0:
-            raise ConfigError("noise sigma must be non-negative")
+        if not 0 <= self.noise < math.inf:
+            raise field_error("noise", "non-negative and finite", self.noise)
         if self.distinct_sequences() < self.classes:
             raise ConfigError(
                 f"cannot build {self.classes} distinct classes from vocab {self.vocab} "

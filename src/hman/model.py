@@ -13,6 +13,7 @@ steps with a hand-written backward.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ from . import autodiff as ad
 from . import cell as hc
 from . import stochastic as stu
 from .autodiff import ContractError, Tensor
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, field_error
 
 ATTENTION_MODES = ("soft", "reinforce", "gumbel-constant", "gumbel-adaptive")
 EVAL_Z_MODES = ("deterministic", "sampled")
@@ -72,8 +73,9 @@ class ModelConfig:
             raise ConfigError(f"unknown attention mode {self.attention!r}; pick one of {ATTENTION_MODES}")
         if self.eval_z not in EVAL_Z_MODES:
             raise ConfigError(f"unknown eval_z mode {self.eval_z!r}; pick one of {EVAL_Z_MODES}")
-        if self.attention_tau <= 0 or self.boundary_tau <= 0:
-            raise ConfigError("temperatures must be positive")
+        for name in ("attention_tau", "boundary_tau"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise field_error(name, "positive and finite", getattr(self, name))
         if self.force_z is not None and self.force_z not in (0.0, 1.0):
             raise ConfigError("force_z must be 0, 1 or unset")
 
@@ -326,14 +328,12 @@ def _sequence_head(stacked: np.ndarray, hidden: list[Tensor], w: Tensor, b: Tens
     and the softmax reduces each row alone, so the probabilities are
     bitwise those of classifying one step at a time.
     """
-    logits = np.matmul(stacked, w.data) + b.data
-    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-    probs = e / np.sum(e, axis=-1, keepdims=True)
+    probs = ad._softmax(np.matmul(stacked, w.data) + b.data, -1)
     layers = len(hidden) // stacked.shape[0]
     width = stacked.shape[-1] // layers
 
     def backward_fn(g: np.ndarray) -> None:
-        g_logits = probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
+        g_logits = ad._softmax_adjoint(probs, g, -1)
         rows = g_logits.reshape(-1, g_logits.shape[-1])
         if w.requires_grad:
             ad._accumulate(w, stacked.reshape(-1, stacked.shape[-1]).T @ rows)
@@ -363,13 +363,13 @@ def sequence_log_likelihood(step_probs: Tensor, labels: np.ndarray) -> Tensor:
         raise ContractError(f"labels must lie in [0, {classes})")
     rows = np.arange(step_probs.shape[1])
     picked = step_probs.data[:, rows, labels]  # (T, B)
-    clipped = np.maximum(picked, at.LOG_FLOOR)
+    clipped = np.maximum(picked, ad.LOG_FLOOR)
     total = np.add.accumulate(np.log(clipped), axis=0)[-1]  # left to right, like t = 0, 1, ...
 
     def backward_fn(g: np.ndarray) -> None:
         if step_probs.requires_grad:
             full = np.zeros(step_probs.shape)
-            full[:, rows, labels] = g[:, 0] * (picked >= at.LOG_FLOOR) / clipped
+            full[:, rows, labels] = g[:, 0] * (picked >= ad.LOG_FLOOR) / clipped
             ad._accumulate(step_probs, full)
 
     return Tensor._from_op(total[:, None], (step_probs,), backward_fn)
@@ -422,8 +422,7 @@ def boundary_loss(z_logits: list[list[Tensor]], targets: np.ndarray) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         scale = g / batch
         for layer, a in zip(z_logits, logits):
-            sig = 0.5 * (np.tanh(0.5 * a) + 1.0)
-            grad = scale * (weights * sig - weighted_targets)
+            grad = scale * (weights * ad._sigmoid(a) - weighted_targets)
             for t, z in enumerate(layer):
                 ad._accumulate(z, grad[:, t:t + 1])
 

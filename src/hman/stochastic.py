@@ -84,15 +84,19 @@ def hard_onehot(y: Tensor) -> Tensor:
     is exactly one-hot per row and backpropagates as the identity.
     """
     flat = y.data.reshape(-1, y.data.shape[-1])
-    idx = np.argmax(flat, axis=-1)
-    data = np.zeros_like(flat)
-    data[np.arange(flat.shape[0]), idx] = 1.0
-    data = data.reshape(y.data.shape)
+    data = _onehot(np.argmax(flat, axis=-1), flat.shape[-1]).reshape(y.data.shape)
 
     def backward_fn(g: np.ndarray) -> None:
         ad._accumulate(y, g)
 
     return Tensor._from_op(data, (y,), backward_fn)
+
+
+def _onehot(idx: np.ndarray, width: int) -> np.ndarray:
+    """Rows of a (len(idx), width) 0/1 matrix, each 1 at its ``idx`` column."""
+    out = np.zeros((idx.shape[0], width))
+    out[np.arange(idx.shape[0]), idx] = 1.0
+    return out
 
 
 def adaptive_tau(h1: Tensor, w_temp: Tensor, b_temp: Tensor) -> Tensor:

@@ -10,6 +10,7 @@ Metrics are emitted one CSV row per epoch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,12 @@ from . import autodiff as ad
 from . import model as hm
 from .autodiff import Tensor
 from .data import VideoSample
-from .errors import ConfigError, TrainingAbort
+from .errors import ConfigError, TrainingAbort, field_error
+
+# Adam's moment decays and denominator floor (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -31,9 +37,6 @@ class TrainConfig:
     lr: float = 1e-4
     lr_drop: float = 1e-5
     lr_drop_after: int = 10_000      # iterations at the base rate
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 5.0
     reinforce_lambda: float = 1.0
     frame_sampling: str = "window"   # "window": contiguous; "random": sorted subset
@@ -41,10 +44,11 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if min(self.lr, self.lr_drop, self.eps) <= 0 or self.clip_norm <= 0:
-            raise ConfigError("learning rates, eps and clip norm must be positive")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError("Adam betas must lie in [0, 1)")
+        for name in ("lr", "lr_drop", "clip_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise field_error(name, "positive and finite", getattr(self, name))
+        if not math.isfinite(self.reinforce_lambda):
+            raise field_error("reinforce_lambda", "finite", self.reinforce_lambda)
         if self.batch_size < 1 or self.window < 1 or self.epochs < 0:
             raise ConfigError("batch size, window and epochs must be positive")
         if self.frame_sampling not in ("window", "random"):
@@ -73,7 +77,7 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, config: TrainConfig) -> None:
+              state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, in place.
 
     Aborts with the parameter name on any non-finite gradient; a NaN
@@ -83,15 +87,15 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if not np.all(np.isfinite(g)):
             raise TrainingAbort(f"non-finite gradient in parameter {name!r}")
     state.t += 1
-    correct1 = 1.0 - config.beta1 ** state.t
-    correct2 = 1.0 - config.beta2 ** state.t
+    correct1 = 1.0 - ADAM_BETA1 ** state.t
+    correct2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[name] / correct1
         v_hat = state.v[name] / correct2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> tuple[dict[str, np.ndarray], float]:
@@ -218,7 +222,7 @@ class Trainer:
             grads = {n: p.grad if p.grad is not None else np.zeros(p.shape)
                      for n, p in self.model.params.items()}
             grads, _ = clip_global_norm(grads, cfg.clip_norm)
-            adam_step(self.model.params, grads, self.adam, lr, cfg)
+            adam_step(self.model.params, grads, self.adam, lr)
             if reinforce:
                 self.baseline.update(-batch_ce)  # the batch's mean log-likelihood
 

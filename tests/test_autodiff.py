@@ -178,25 +178,6 @@ class TestBackward:
 
 
 class TestShapingOps:
-    def test_slice_cols_roundtrip_and_grad(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(2, 9)), requires_grad=True)
-
-        def build():
-            lo = ad.slice_cols(x, 0, 4)
-            hi = ad.slice_cols(x, 4, 9)
-            return ad.sum_(lo * lo) + ad.sum_(ad.tanh(hi))
-
-        assert check_gradients(build, [x]) < 1e-6
-
-    def test_concat_grad(self):
-        rng = np.random.default_rng(6)
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        v = Tensor(rng.normal(size=(2, 7)))
-        worst = check_gradients(lambda: ad.sum_(ad.concat([a, b], axis=-1) * v), [a, b])
-        assert worst < 1e-6
-
     def test_take_rows_values_and_grad(self):
         x = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], requires_grad=True)
         idx = np.array([2, 0])

@@ -273,8 +273,16 @@ class TestContracts:
         assert a.z.data[0, 0] == expected_z
 
 
+def select_cols(a, start, stop):
+    """Columns start:stop of ``a`` as a matmul by a 0/1 selection matrix, which
+    reproduces them exactly and sends their adjoint back to those columns."""
+    pick = np.zeros((a.shape[-1], stop - start))
+    pick[np.arange(start, stop), np.arange(stop - start)] = 1.0
+    return a @ Tensor(pick)
+
+
 def reference_step(prev, below_h, below_z, above_h_prev, params, *, noise=None,
-                   tau=hc.BOUNDARY_TAU, soft_boundaries=False, hidden_tanh=True,
+                   tau=st.BOUNDARY_TAU, soft_boundaries=False, hidden_tanh=True,
                    force_z=None):
     """The cell step composed of ``autodiff`` primitives, one tape node per op.
 
@@ -286,11 +294,11 @@ def reference_step(prev, below_h, below_z, above_h_prev, params, *, noise=None,
     if params.u_top is not None:
         s = s + (prev.z * above_h_prev) @ params.u_top
 
-    i = ad.sigmoid(ad.slice_cols(s, 0, hidden))
-    f = ad.sigmoid(ad.slice_cols(s, hidden, 2 * hidden))
-    o = ad.sigmoid(ad.slice_cols(s, 2 * hidden, 3 * hidden))
-    g = ad.tanh(ad.slice_cols(s, 3 * hidden, 4 * hidden))
-    z_pre = ad.slice_cols(s, 4 * hidden, 4 * hidden + 1)
+    i = ad.sigmoid(select_cols(s, 0, hidden))
+    f = ad.sigmoid(select_cols(s, hidden, 2 * hidden))
+    o = ad.sigmoid(select_cols(s, 2 * hidden, 3 * hidden))
+    g = ad.tanh(select_cols(s, 3 * hidden, 4 * hidden))
+    z_pre = select_cols(s, 4 * hidden, 4 * hidden + 1)
 
     if force_z is not None:
         z = Tensor(np.full((s.shape[0], 1), float(force_z)))
@@ -417,7 +425,8 @@ class TestFusionGuard:
         above_h = Tensor(rng.normal(size=(2, HIDDEN)), requires_grad=True)
         state = hc.step(prev, below_h, below_z, above_h, params,
                         noise=st.sample_gumbel((2, 2, 1), rng).data)
-        # one consumer of every output, walked by the Tape that backward builds
-        root = ad.concat([state.c, state.h, state.z, state.z_logit], axis=-1)
-        ops = [node for node in ad.Tape(root).nodes if node._parents and node is not root]
+        # the Tape that backward builds, walked from the op behind every output
+        roots = [t if t._owner is None else t._owner
+                 for t in (state.c, state.h, state.z, state.z_logit)]
+        ops = {id(node) for root in roots for node in ad.Tape(root).nodes if node._parents}
         assert len(ops) == 3

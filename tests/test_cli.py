@@ -72,7 +72,8 @@ class TestGenSynth:
 
     @pytest.mark.parametrize("flag, value", [("--grid-side", 0), ("--feat-dim", 0),
                                              ("--train-per-class", -1),
-                                             ("--test-per-class", -1)])
+                                             ("--test-per-class", -1),
+                                             ("--noise", "nan"), ("--noise", "inf")])
     def test_out_of_range_size_exits_one_naming_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
         assert run_cli("gen-synth", "--out", out, flag, value) == 1
@@ -134,6 +135,18 @@ class TestTrain:
         assert "--eval-every" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--boundary-tau", "inf"), ("--attention-tau", "nan"), ("--lr", "nan"),
+        ("--lr-drop", "inf"), ("--clip-norm", "nan"), ("--reinforce-lambda", "nan"),
+    ])
+    def test_non_finite_value_exits_one_naming_the_flag(self, dataset, tmp_path, capsys,
+                                                         flag, value):
+        out = tmp_path / "o"
+        assert run_cli("train", "--data", dataset, "--out", out, "--layers", 2, "--hidden", 5,
+                       "--epochs", 1, "--batch-size", 8, "--window", 6, flag, value) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["reinforce", "gumbel-constant", "gumbel-adaptive"])
     def test_all_attention_modes_train(self, dataset, tmp_path, mode):
         out = tmp_path / mode
@@ -152,6 +165,9 @@ class TestConfigFile:
         ("eval", {"block_len": "sixty"}, "'block_len'"),
         ("train", {"lr": None}, "'lr'"),
         ("train", [1, 2], "JSON object"),
+        ("train", {"epochs": 1.7}, "'epochs'"),
+        ("train", {"epochs": True}, "'epochs'"),
+        ("train", {"lr": True}, "'lr'"),
     ])
     def test_config_value_of_wrong_type_exits_one_naming_file_and_key(
             self, dataset, trained, tmp_path, capsys, command, loaded, named):
@@ -165,6 +181,16 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert str(cfg_path) in err and named in err
         assert not out.exists()
+
+    def test_integral_float_and_number_for_string_option_still_convert(self, dataset, tmp_path):
+        cfg_path = tmp_path / "f.json"
+        cfg_path.write_text(json.dumps({"epochs": 1.0, "force_z": 0, "layers": 2, "hidden": 5,
+                                        "batch_size": 8, "window": 6}))
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", cfg_path, "--data", dataset, "--out", out) == 0
+        merged = json.loads((out / "run_config.json").read_text())
+        assert merged["epochs"] == 1 and isinstance(merged["epochs"], int)
+        assert merged["force_z"] == "0"
 
 
 class TestEval:

@@ -1,4 +1,5 @@
-"""Every public module-level function and class of ``src/hman/`` has a user.
+"""Every public module-level function and class of ``src/hman/`` has a user,
+and every numeric rule that the fused ops share is spelled once.
 
 A definition counts as used when its name appears in ``src/hman/`` or
 ``hmanbench/`` outside the definition itself: as a name, an attribute, an
@@ -9,6 +10,7 @@ not count as users.
 """
 
 import ast
+import re
 from pathlib import Path
 
 from test_bench_api import _tracer_targets
@@ -18,9 +20,13 @@ PACKAGE = ROOT / "src" / "hman"
 BENCH = ROOT / "hmanbench"
 
 # Unused by the program and kept on purpose.
-ALLOWED = {
-    ("autodiff", "slice_cols"),  # the tests' oracles use it: the op-by-op cell step
-    ("autodiff", "concat"),      # the tests' oracles use it: the op-by-op head and boundary loss
+ALLOWED: set[tuple[str, str]] = set()
+
+# Spellings of the rules that the fused ops share with the autodiff
+# primitives; each may appear only in the autodiff kernel that owns it.
+KERNEL_SPELLINGS = {
+    "_sigmoid": re.compile(r"tanh\(\s*0?\.5\s*\*|1\.?0?\s*/\s*\(\s*1\.?0?\s*\+\s*np\.exp\(\s*-"),
+    "_softmax": re.compile(r"-\s*(np\.a?max\(|[A-Za-z_][\w.]*\.max\()"),
 }
 
 
@@ -64,3 +70,25 @@ def _unused() -> set[tuple[str, str]]:
 
 def test_every_public_definition_has_a_user():
     assert _unused() == ALLOWED
+
+
+def _enclosing_function(tree: ast.Module, line: int) -> str | None:
+    """Name of the innermost function whose body holds ``line``."""
+    found = None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.lineno <= line <= node.end_lineno \
+                and (found is None or node.lineno > found.lineno):
+            found = node
+    return None if found is None else found.name
+
+
+def test_shared_rules_are_spelled_only_in_their_kernels():
+    spelled = {kernel: [] for kernel in KERNEL_SPELLINGS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        for number, line in enumerate(text.splitlines(), 1):
+            for kernel, spelling in KERNEL_SPELLINGS.items():
+                if spelling.search(line):
+                    spelled[kernel].append((path.stem, _enclosing_function(tree, number)))
+    assert spelled == {kernel: [("autodiff", kernel)] for kernel in KERNEL_SPELLINGS}

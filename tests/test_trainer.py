@@ -18,42 +18,38 @@ def scalar_params(value=0.0):
 
 class TestAdam:
     def test_first_step_with_unit_gradient(self):
-        cfg = ht.TrainConfig()
         params = scalar_params(0.0)
         state = ht.AdamState.for_params(params)
-        ht.adam_step(params, {"w": np.array([1.0])}, state, lr=0.01, config=cfg)
+        ht.adam_step(params, {"w": np.array([1.0])}, state, lr=0.01)
         # bias-corrected first step: update = -lr * 1 / (1 + eps)
-        assert params["w"].data[0] == pytest.approx(-0.01 / (1 + cfg.eps), rel=1e-12)
+        assert params["w"].data[0] == pytest.approx(-0.01 / (1 + ht.ADAM_EPS), rel=1e-12)
 
     def test_zero_gradient_leaves_params_and_decays_moments(self):
-        cfg = ht.TrainConfig()
         params = scalar_params(1.5)
         state = ht.AdamState.for_params(params)
         for _ in range(3):
-            ht.adam_step(params, {"w": np.zeros(1)}, state, lr=0.1, config=cfg)
+            ht.adam_step(params, {"w": np.zeros(1)}, state, lr=0.1)
         assert params["w"].data[0] == 1.5
         state.m["w"][0] = 1.0
         state.v["w"][0] = 1.0
-        ht.adam_step(params, {"w": np.zeros(1)}, state, lr=0.0, config=cfg)
-        assert state.m["w"][0] == pytest.approx(cfg.beta1)
-        assert state.v["w"][0] == pytest.approx(cfg.beta2)
+        ht.adam_step(params, {"w": np.zeros(1)}, state, lr=0.0)
+        assert state.m["w"][0] == pytest.approx(ht.ADAM_BETA1)
+        assert state.v["w"][0] == pytest.approx(ht.ADAM_BETA2)
 
     def test_converges_on_scalar_quadratic(self):
         # optimization oracle: 100 steps on (w-3)^2 from 0 at lr 0.1
-        cfg = ht.TrainConfig()
         params = scalar_params(0.0)
         state = ht.AdamState.for_params(params)
         for _ in range(100):
             grad = 2.0 * (params["w"].data - 3.0)
-            ht.adam_step(params, {"w": grad}, state, lr=0.1, config=cfg)
+            ht.adam_step(params, {"w": grad}, state, lr=0.1)
         assert abs(params["w"].data[0] - 3.0) < 0.05
 
     def test_nan_gradient_aborts_naming_parameter(self):
-        cfg = ht.TrainConfig()
         params = scalar_params()
         state = ht.AdamState.for_params(params)
         with pytest.raises(TrainingAbort, match="'w'"):
-            ht.adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1, config=cfg)
+            ht.adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1)
 
 
 class TestSchedule:
