@@ -7,6 +7,13 @@ Every learnable computation in this package is expressed through the
 * gradients accumulate by summation; callers zero them between steps,
 * a :class:`Tape` built on demand replays adjoints in reverse
   topological order when ``backward`` is called on a scalar loss,
+* a weight-gradient product x.T @ g can be deferred (:func:`_defer`):
+  during the replay the (x, g) pairs wait on the weight, and they are
+  summed into its ``grad`` by one GEMM per ``DEFER_BLOCK_ROWS`` stacked
+  rows, without the rows of x that are all zero, at the latest when the
+  replay reaches the weight's own node.  The recurrent cell's weights
+  get their gradients this way, once per sequence instead of once per
+  step (Appleyard et al., arXiv 1604.01946),
 * an op with several outputs returns one array; :func:`read` gives each
   output as a view of it that records no tape node of its own.
 
@@ -64,7 +71,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward_fn", "_backward_ran",
-                 "_owner")
+                 "_owner", "_deferred")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(values)
@@ -75,6 +82,7 @@ class Tensor:
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._backward_ran = False
         self._owner: Tensor | None = None  # the op output this tensor reads; see read()
+        self._deferred: list | None = None  # [xs, gs, rows] of _defer, during a replay
 
     # -- construction ---------------------------------------------------
 
@@ -88,6 +96,7 @@ class Tensor:
         out.name = None
         out._backward_ran = False
         out._owner = None
+        out._deferred = None
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -170,6 +179,46 @@ def _accumulate(parent: Tensor, contribution: np.ndarray) -> None:
         parent.grad += contribution
 
 
+# Rows stacked per GEMM of deferred weight-gradient pairs: enough for BLAS
+# speed, few enough that a block's copy (512 x 513 doubles, 2 MB, at hidden
+# 128) adds little to the peak memory of a backward pass.
+DEFER_BLOCK_ROWS = 512
+
+
+def _defer(w: Tensor, x: np.ndarray, g: np.ndarray) -> None:
+    """Add x.T @ g to ``w.grad``, summed with ``w``'s other deferred pairs.
+
+    Called from a backward function during :meth:`Tape.replay_adjoints`,
+    with ``w`` one of the op's parents.  The pair is kept on ``w`` (the
+    arrays are not copied, so neither may change before the sum) and
+    summed, with the pairs before it, once ``DEFER_BLOCK_ROWS`` rows are
+    waiting or the replay reaches ``w``'s node, whichever comes first.
+    """
+    if not w.requires_grad:
+        return
+    if w._owner is not None:
+        raise ContractError("a deferred weight gradient needs a tape node, not a read() view")
+    if w._deferred is None:
+        w._deferred = [[x], [g], x.shape[0]]
+    else:
+        w._deferred[0].append(x)
+        w._deferred[1].append(g)
+        w._deferred[2] += x.shape[0]
+    if w._deferred[2] >= DEFER_BLOCK_ROWS:
+        _sum_deferred(w)
+
+
+def _sum_deferred(w: Tensor) -> None:
+    """One GEMM over ``w``'s waiting pairs; rows of x that are all zero add nothing."""
+    xs, gs, _ = w._deferred
+    w._deferred = None
+    x, g = np.concatenate(xs), np.concatenate(gs)
+    kept = np.flatnonzero(x.any(axis=1))
+    if len(kept) < len(x):
+        x, g = x.take(kept, axis=0), g.take(kept, axis=0)
+    _accumulate(w, x.T @ g)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum an adjoint back over axes that numpy broadcasting expanded."""
     if grad.shape == shape:
@@ -189,7 +238,10 @@ class Tape:
     Replaying adjoints over ``nodes`` in reverse order yields exact
     chain-rule gradients; parents always precede their consumers.  A
     parent made by :func:`read` is not a node: the walk continues at its
-    owner, whose grad already holds the read's adjoint.
+    owner, whose grad already holds the read's adjoint.  A node's
+    deferred weight-gradient pairs (:func:`_defer`) are summed into its
+    grad when the replay reaches it, after every op that uses it; a
+    replay that raises drops the pairs still waiting.
     """
 
     def __init__(self, root: Tensor):
@@ -211,9 +263,15 @@ class Tape:
 
     def replay_adjoints(self) -> None:
         self.root.grad = np.ones_like(self.root.data)
-        for node in reversed(self.nodes):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
+        try:
+            for node in reversed(self.nodes):
+                if node._deferred is not None:
+                    _sum_deferred(node)
+                if node._backward_fn is not None:
+                    node._backward_fn(node.grad)
+        finally:
+            for node in self.nodes:
+                node._deferred = None
 
 
 def backward(loss: Tensor) -> None:
@@ -444,6 +502,7 @@ def read(owner: Tensor, index) -> Tensor:
     out._parents = ()
     out._backward_fn = None
     out._backward_ran = False
+    out._deferred = None
     out.requires_grad = owner.requires_grad
     if owner.requires_grad:
         if owner.grad is None:

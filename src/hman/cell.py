@@ -26,6 +26,13 @@ of those ops, which record no node of their own:
 * ``_preactivation``: s = h_prev@U_rec + (z_below*h_below)@W_bot + bias
   (+ (z_prev*h_above)@U_top), added in that order.  It keeps the masked
   inputs z_below*h_below and z_prev*h_above for the weight gradients.
+  Its backward does not form x.T@g for U_rec, W_bot and U_top at each
+  step: it hands each pair (input rows x, adjoint g of s) to
+  ``autodiff._defer``, and the replay sums each weight's pairs in a few
+  large GEMMs once per sequence, leaving out the rows of x that are all
+  zero.  Those are the rows of z_below*h_below where the layer below
+  marked no boundary and of z_prev*h_above where this layer marked none
+  at t-1 (and h_prev at t=0).  The bias gradient is summed per step.
 * ``_boundary``: from the ``z`` column of s, y = sigmoid(((pre + a) - b)/tau)
   with Gumbel draws a, b (a = b = 0 and tau = 1 without noise), the
   bit 1[y >= 0.5] (or y itself with soft boundaries), and the output
@@ -133,9 +140,9 @@ def _require_binary(z: Tensor, what: str) -> None:
 
 def _masked_matmul_grads(g: np.ndarray, z: Tensor, v: Tensor, w: Tensor,
                          masked: np.ndarray) -> None:
-    """Adjoints of (z*v)@w, given ``masked`` = z*v and the output adjoint g."""
-    if w.requires_grad:
-        ad._accumulate(w, masked.T @ g)
+    """Adjoints of (z*v)@w, given ``masked`` = z*v and the output adjoint g;
+    w's is deferred to the replay's sum (``autodiff._defer``)."""
+    ad._defer(w, masked, g)
     if v.requires_grad or z.requires_grad:
         g_masked = g @ w.data.T
         if v.requires_grad:
@@ -159,12 +166,11 @@ def _preactivation(prev: LayerState, below_h: Tensor, below_z: Tensor,
         parents += [prev.z, above_h, u_top]
 
     def backward_fn(g: np.ndarray) -> None:
-        if u_rec.requires_grad:
-            ad._accumulate(u_rec, h_prev.data.T @ g)
+        ad._defer(u_rec, h_prev.data, g)
         if h_prev.requires_grad:
             ad._accumulate(h_prev, g @ u_rec.data.T)
         _masked_matmul_grads(g, below_z, below_h, w_bot, below_in)
-        ad._accumulate(bias, ad._unbroadcast(g, bias.shape))
+        ad._accumulate(bias, g.sum(axis=0, keepdims=True))
         if u_top is not None:
             _masked_matmul_grads(g, prev.z, above_h, u_top, above_in)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from . import gradcheck as gc
 from . import model as hm
 from . import training as ht
 from . import viz as hv
-from .errors import ConfigError, FormatError, TrainingAbort
+from .errors import ConfigError, FormatError, TrainingAbort, field_error
 
 
 class _Parser(argparse.ArgumentParser):
@@ -316,6 +317,8 @@ def cmd_viz(args) -> int:
 
 def cmd_grad_check(args) -> int:
     opts = _resolve(args, GRAD_OPTS, required=())
+    if not 0 < opts["tolerance"] < math.inf:
+        raise field_error("tolerance", "positive and finite", opts["tolerance"])
     fault = None
     if opts["inject_fault"]:
         def fault(name, grads):  # deliberately corrupt the first check's gradient

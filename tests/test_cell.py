@@ -430,3 +430,139 @@ class TestFusionGuard:
                  for t in (state.c, state.h, state.z, state.z_logit)]
         ops = {id(node) for root in roots for node in ad.Tape(root).nodes if node._parents}
         assert len(ops) == 3
+
+
+# the chain's outputs that its loss weighs: s1.h, s1.c, s1.z_logit, s2.h, s2.c, s2.z, s2.z_logit
+CHAIN_OUTPUTS = [(HIDDEN,), (HIDDEN,), (1,), (HIDDEN,), (HIDDEN,), (1,), (1,)]
+
+
+def chain_case(rng, steps, batch, derived=False):
+    """Weights, inputs, Gumbel draws and loss weights of a two-layer chain.
+
+    Layer 1 reads the input and has a layer above; layer 2 is the top.
+    ``build()`` gives the LayerParams the cell sees: the leaves themselves,
+    or with ``derived`` every weight matrix as an op output (leaf * 1.0).
+    """
+    leaves = [make_params(rng),
+              hc.init_layer_params(HIDDEN, below_dim=HIDDEN, above_dim=None, rng=rng)]
+
+    def build():
+        if not derived:
+            return leaves
+        return [hc.LayerParams(u_rec=p.u_rec * 1.0, w_bot=p.w_bot * 1.0, bias=p.bias,
+                               u_top=None if p.u_top is None else p.u_top * 1.0)
+                for p in leaves]
+
+    inputs = [Tensor(rng.normal(size=(batch, BELOW)), requires_grad=True) for _ in range(steps)]
+    noise = st.sample_gumbel((steps, 2, 2, batch, 1), rng).data  # [t, layer] is a (2, B, 1) pair
+    weights = [[rng.normal(size=(batch,) + s) for s in CHAIN_OUTPUTS] for _ in range(steps)]
+    return leaves, build, inputs, noise, weights
+
+
+def run_chain(step_fn, params, inputs, noise, weights):
+    """Loss of a two-layer chain over len(inputs) steps, as a tape root.
+
+    Layer 1's lower bit is identically 1 and its bit masks its top-down
+    input a step later; layer 2's lower bit is layer 1's, so its rows
+    UPDATE, COPY and FLUSH, and its bottom-up input is zero where layer 1
+    marked no boundary.  Returns the loss and layer 2's (z_prev, z_below)
+    per step.
+    """
+    batch = inputs[0].shape[0]
+    s1, s2 = hc.initial_state(HIDDEN, batch), hc.initial_state(HIDDEN, batch)
+    ones = Tensor(np.ones((batch, 1)))
+    loss, branches = None, []
+    for t, x in enumerate(inputs):
+        n1 = step_fn(s1, x, ones, s2.h, params[0], noise=noise[t, 0])
+        n2 = step_fn(s2, n1.h, n1.z, None, params[1], noise=noise[t, 1])
+        branches.append((s2.z.data[:, 0].copy(), n1.z.data[:, 0].copy()))
+        s1, s2 = n1, n2
+        for out, w in zip((s1.h, s1.c, s1.z_logit, s2.h, s2.c, s2.z, s2.z_logit), weights[t]):
+            term = ad.sum_(out * Tensor(w))
+            loss = term if loss is None else loss + term
+    return loss, branches
+
+
+def chain_grads(step_fn, params, tensors, inputs, noise, weights):
+    """Loss, grads of ``tensors`` (zeroed first) and layer-2 bits of one chain."""
+    ad.zero_grad(tensors)
+    loss, branches = run_chain(step_fn, params, inputs, noise, weights)
+    ad.backward(loss)
+    return loss.data.copy(), [t.grad.copy() for t in tensors], branches
+
+
+def weight_tensors(leaves):
+    return [t for p in leaves for t in p.tensors()]
+
+
+class TestSequenceWeightGradients:
+    """The weight gradients summed once per sequence (``autodiff._defer``)
+    against the op-by-op reference chain, which accumulates them per step."""
+
+    BATCH = 6
+
+    @pytest.mark.parametrize("derived", [False, True], ids=["leaf", "op-output"])
+    def test_hard_noisy_chain_within_1e12_of_reference(self, derived):
+        steps = ad.DEFER_BLOCK_ROWS // self.BATCH + 3  # more rows than one summation block
+        assert steps * self.BATCH > ad.DEFER_BLOCK_ROWS
+        leaves, build, inputs, noise, weights = chain_case(
+            np.random.default_rng(41), steps, self.BATCH, derived)
+        tensors = weight_tensors(leaves) + inputs
+        loss, grads, branches = chain_grads(hc.step, build(), tensors, inputs, noise, weights)
+        ref_loss, ref_grads, ref_branches = chain_grads(reference_step, build(), tensors, inputs,
+                                                        noise, weights)
+        assert np.array_equal(loss, ref_loss)
+        z_prev = np.concatenate([b[0] for b in branches])
+        z_below = np.concatenate([b[1] for b in branches])
+        assert np.array_equal(z_below, np.concatenate([b[1] for b in ref_branches]))
+        update = (z_prev == 0) & (z_below == 1)
+        copy = (z_prev == 0) & (z_below == 0)
+        flush = z_prev == 1
+        assert update.any() and copy.any() and flush.any()
+        for got, want in zip(grads, ref_grads):
+            scale = max(float(np.max(np.abs(want))), 1e-300)
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
+class TestDeferredProductsEndWithTheirBackward:
+    def test_backward_that_raises_leaves_no_pair_for_the_next(self):
+        leaves, _, inputs, noise, weights = chain_case(np.random.default_rng(43), 4, 3)
+        tensors = weight_tensors(leaves)
+        _, clean, _ = chain_grads(hc.step, leaves, tensors, inputs, noise, weights)
+        pending = []
+
+        def raising_fn(g):  # runs after the last step's ops, before the weights' nodes
+            pending.append(any(t._deferred is not None for t in tensors))
+            raise RuntimeError("backward failed partway")
+
+        last = inputs[-1]
+        faulty = inputs[:-1] + [Tensor._from_op(last.data, (last,), raising_fn)]
+        with pytest.raises(RuntimeError, match="partway"):
+            chain_grads(hc.step, leaves, tensors, faulty, noise, weights)
+        assert pending == [True]  # the failure struck while pairs were waiting
+        _, grads, _ = chain_grads(hc.step, leaves, tensors, inputs, noise, weights)
+        for got, want in zip(grads, clean):
+            assert np.array_equal(got, want)
+
+    def test_two_graphs_backward_in_turn_give_each_its_own_grads(self):
+        rng = np.random.default_rng(44)
+        leaves, _, inputs_a, noise_a, weights_a = chain_case(rng, 4, 3)
+        _, _, inputs_b, noise_b, weights_b = chain_case(rng, 4, 3)
+        tensors = weight_tensors(leaves)
+        _, alone_a, _ = chain_grads(hc.step, leaves, tensors, inputs_a, noise_a, weights_a)
+        _, alone_b, _ = chain_grads(hc.step, leaves, tensors, inputs_b, noise_b, weights_b)
+        ad.zero_grad(tensors)
+        loss_a, _ = run_chain(hc.step, leaves, inputs_a, noise_a, weights_a)
+        loss_b, _ = run_chain(hc.step, leaves, inputs_b, noise_b, weights_b)
+        ad.Tape(loss_a).replay_adjoints()
+        for got, want in zip((t.grad for t in tensors), alone_a):
+            assert np.array_equal(got, want)
+        ad.zero_grad(tensors)
+        ad.backward(loss_b)
+        for got, want in zip((t.grad for t in tensors), alone_b):
+            assert np.array_equal(got, want)
+
+    def test_read_view_cannot_take_a_deferred_gradient(self):
+        owner = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ContractError, match="read"):
+            ad._defer(ad.read(owner, 0), np.ones((1, 1)), np.ones((1, 3)))

@@ -381,6 +381,17 @@ class TestGradCheck:
         assert run_cli("grad-check", "--fixed-noise-seed", 3) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-4"])
+    def test_tolerance_not_positive_and_finite_exits_one_before_any_check(
+            self, capsys, monkeypatch, tolerance):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(gc, "run_all", no_checks)
+        assert run_cli("grad-check", f"--tolerance={tolerance}") == 1
+        captured = capsys.readouterr()
+        assert "--tolerance" in captured.err and captured.out == ""
+
     def test_injected_fault_is_caught(self, capsys):
         # the fault hook reaches each check by name and corrupts only the first
         assert run_cli("grad-check", "--inject-fault", 1) == 2
