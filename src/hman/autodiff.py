@@ -97,7 +97,7 @@ class Tensor:
         out._backward_ran = False
         out._owner = None
         out._deferred = None
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _records(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward_fn = backward_fn
@@ -164,6 +164,11 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+
+def _records(parents: Iterable[Tensor]) -> bool:
+    """Whether an op over ``parents`` records a tape node: grads flow to one of them."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _ensure_tensor(value) -> Tensor:

@@ -29,10 +29,32 @@ from . import viz as hv
 from .errors import ConfigError, FormatError, TrainingAbort, field_error
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage errors are user errors
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        """As argparse, but a negative number after ``--flag`` is its value.
+
+        argparse reads a token such as ``-1e-4`` or ``-inf`` as an option
+        name; every option here takes one value, so ``--flag -1e-4`` is
+        passed on as ``--flag=-1e-4`` and reaches the flag's validation.
+        """
+        args = list(sys.argv[1:] if args is None else args)
+        for k in range(len(args) - 2, -1, -1):
+            if args[k].startswith("--") and "=" not in args[k] and \
+                    args[k + 1].startswith("-") and _is_number(args[k + 1]):
+                args[k:k + 2] = [f"{args[k]}={args[k + 1]}"]
+        return super().parse_known_args(args, namespace)
 
 
 def _owned(owner, **help_texts: str) -> dict:
@@ -189,10 +211,14 @@ def cmd_gen_synth(args) -> int:
 
 def _model_config_from(opts: dict, manifest: hd.Manifest) -> hm.ModelConfig:
     force = opts["force_z"].strip()
+    try:
+        force_z = None if force == "" else float(force)
+    except ValueError:
+        raise field_error("force_z", "0, 1 or unset", force) from None
     return hm.ModelConfig(
         grid_side=manifest.grid_side, feat_dim=manifest.feat_dim,
         classes=len(manifest.classes), cell_hidden_tanh=bool(opts["hidden_tanh"]),
-        force_z=None if force == "" else float(force),
+        force_z=force_z,
         **{name: opts[name] for name in _MODEL_FIELDS},
     )
 

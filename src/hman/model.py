@@ -77,7 +77,7 @@ class ModelConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise field_error(name, "positive and finite", getattr(self, name))
         if self.force_z is not None and self.force_z not in (0.0, 1.0):
-            raise ConfigError("force_z must be 0, 1 or unset")
+            raise field_error("force_z", "0, 1 or unset", self.force_z)
 
     @property
     def locations(self) -> int:

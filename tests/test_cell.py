@@ -566,3 +566,30 @@ class TestDeferredProductsEndWithTheirBackward:
         owner = Tensor(np.ones((2, 3)), requires_grad=True)
         with pytest.raises(ContractError, match="read"):
             ad._defer(ad.read(owner, 0), np.ones((1, 1)), np.ones((1, 3)))
+
+
+class TestTapeFreeWideStep:
+    """Without a tape, a layer of at least ``LIVE_ROWS_MIN_HIDDEN`` units computes
+    only the rows that UPDATE or FLUSH, and a COPY row's boundary logit."""
+
+    @pytest.mark.parametrize("copies", [8, 6, 3])
+    def test_copy_rows_carry_over_bitwise_and_the_rest_agree(self, copies):
+        wide, batch = hc.LIVE_ROWS_MIN_HIDDEN, 8
+        rng = np.random.default_rng(50)
+        params = hc.init_layer_params(wide, below_dim=BELOW, above_dim=wide, rng=rng)
+        z_prev, below_z = np.zeros((batch, 1)), np.zeros((batch, 1))
+        z_prev[copies::2] = 1.0   # FLUSH
+        below_z[copies:] = 1.0    # UPDATE where z_prev is 0
+        prev = hc.LayerState(c=Tensor(rng.normal(size=(batch, wide))),
+                             h=Tensor(rng.normal(size=(batch, wide))), z=Tensor(z_prev))
+        args = (prev, Tensor(rng.normal(size=(batch, BELOW))), Tensor(below_z),
+                Tensor(rng.normal(size=(batch, wide))), params)
+        taped = hc.step(*args)
+        with ad.no_grad():
+            free = hc.step(*args)
+        assert taped.c.requires_grad and not free.c.requires_grad
+        npt.assert_array_equal(free.c.data[:copies], prev.c.data[:copies])
+        npt.assert_array_equal(free.h.data[:copies], prev.h.data[:copies])
+        npt.assert_array_equal(free.z.data, taped.z.data)
+        for got, want in ((free.c, taped.c), (free.h, taped.h), (free.z_logit, taped.z_logit)):
+            assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(np.abs(want.data))

@@ -147,6 +147,27 @@ class TestTrain:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "-1e-3"), ("--boundary-tau", "-inf"), ("--clip-norm", "-2.5E+1"),
+    ])
+    def test_negative_number_as_its_own_token_reaches_validation(self, dataset, tmp_path, capsys,
+                                                                 flag, value):
+        # argparse alone reads "-1e-3" as an option name and stops at "expected one argument"
+        out = tmp_path / "o"
+        assert run_cli("train", "--data", dataset, "--out", out, "--layers", 2, "--hidden", 5,
+                       "--epochs", 1, "--batch-size", 8, "--window", 6, flag, value) == 1
+        err = capsys.readouterr().err
+        assert f"({flag}) must be positive and finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0.5", "abc"])
+    def test_bad_force_z_exits_one_naming_the_flag(self, dataset, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        assert run_cli("train", "--data", dataset, "--out", out, "--layers", 1,
+                       "--force-z", value) == 1
+        assert "(--force-z) must be 0, 1 or unset" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["reinforce", "gumbel-constant", "gumbel-adaptive"])
     def test_all_attention_modes_train(self, dataset, tmp_path, mode):
         out = tmp_path / mode
@@ -391,6 +412,18 @@ class TestGradCheck:
         assert run_cli("grad-check", f"--tolerance={tolerance}") == 1
         captured = capsys.readouterr()
         assert "--tolerance" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("tolerance", ["-1e-4", "-inf", "-1"])
+    def test_negative_tolerance_as_its_own_token_exits_one_naming_the_flag(
+            self, capsys, monkeypatch, tolerance):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(gc, "run_all", no_checks)
+        assert run_cli("grad-check", "--tolerance", tolerance) == 1
+        captured = capsys.readouterr()
+        assert "tolerance (--tolerance) must be positive and finite" in captured.err
+        assert captured.out == ""
 
     def test_injected_fault_is_caught(self, capsys):
         # the fault hook reaches each check by name and corrupts only the first

@@ -1,6 +1,8 @@
 """Full-network behavior: forward contracts, losses, prediction, checkpoints."""
 
 import struct
+import types
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -539,6 +541,120 @@ class TestScoreClips:
         clips = [[good], [good, np.zeros(shape), good]]
         with pytest.raises(ConfigError, match=rf"clip 1 block 1 has shape \({shape[0]}, "):
             hm.score_clips(tiny_model(), clips, np.random.default_rng(0))
+
+
+WIDE = hc.LIVE_ROWS_MIN_HIDDEN  # narrowest layer whose tape-free forward skips rows
+
+
+def wide_model(attention="soft", z_bias=(0.0, 0.0, 0.0), **kw):
+    """A 3-layer model at the cut-off width; boundary-detector biases ``z_bias``
+    (0 fires about half the time, -50 never)."""
+    model = hm.HMAN(tiny_config(layers=3, hidden=WIDE, attention=attention, **kw),
+                    np.random.default_rng(40))
+    for layer, bias in enumerate(z_bias, start=1):
+        model.layer_params(layer).bias.data[0, -1] = bias
+    return model
+
+
+def branch_rows(out):
+    """Rows per (step, layer) that UPDATE, COPY and FLUSH, from the recorded bits."""
+    z = out.z_history  # (T, L, B)
+    z_prev = np.concatenate([np.zeros_like(z[:1]), z[:-1]])
+    below = np.concatenate([np.ones_like(z[:, :1]), z[:, :-1]], axis=1)
+    return (((z_prev == 0) & (below == 1)).sum(-1), ((z_prev == 0) & (below == 0)).sum(-1),
+            (z_prev == 1).sum(-1))
+
+
+def assert_within_relative(got, want, rel):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def taped_and_tape_free(model, x, rng_seed=0):
+    """The evaluation forward with the tape on, and the same call under no_grad."""
+    taped = model.forward_batch(x, rng=np.random.default_rng(rng_seed), train=False)
+    with ad.no_grad():
+        free = model.forward_batch(x, rng=np.random.default_rng(rng_seed), train=False)
+    assert taped.step_probs.requires_grad and not free.step_probs.requires_grad
+    return taped, free
+
+
+def load_bench_oracle():
+    """``hmanbench/oracle.py`` as a module, read from its source (nothing written there)."""
+    path = Path(__file__).resolve().parent.parent / "hmanbench" / "oracle.py"
+    module = types.ModuleType("hmanbench_oracle")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestTapeFreeWideEvaluation:
+    """Without a tape, a wide layer skips the products and gates of rows the forward
+    does not read; the outputs agree with the taped forward's to rounding."""
+
+    @pytest.mark.parametrize("case", [
+        *[dict(attention=mode) for mode in hm.ATTENTION_MODES],
+        dict(eval_z="sampled"),
+        dict(force_z=0.0),   # layers 2 and 3 COPY on every step
+        dict(force_z=1.0),   # every layer FLUSHes from step 2 on
+        dict(batch=1),
+        dict(z_bias=(-50.0, 0.0, 0.0)),  # layer 1 never fires: layers 2 and 3 always COPY
+    ], ids=lambda case: "-".join(f"{k}={v}" for k, v in case.items()))
+    def test_matches_the_taped_forward(self, case):
+        case = dict(case)
+        batch = case.pop("batch", 8)
+        model = wide_model(**case)
+        x = np.random.default_rng(41).normal(size=(batch, 14, K2, FEAT))
+        taped, free = taped_and_tape_free(model, x)
+        npt.assert_array_equal(free.z_history, taped.z_history)
+        npt.assert_array_equal(free.update_mask, taped.update_mask)
+        assert_within_relative(free.step_probs.data, taped.step_probs.data, 1e-15)
+        for got, want in zip(free.z_logits, taped.z_logits):
+            assert_within_relative(np.concatenate([z.data for z in got], axis=-1),
+                                   np.concatenate([z.data for z in want], axis=-1), 1e-15)
+
+    def test_mixed_batch_has_every_branch_and_few_live_rows(self):
+        # the coverage the default case of test_matches_the_taped_forward relies on
+        x = np.random.default_rng(41).normal(size=(8, 14, K2, FEAT))
+        update, copy, flush = branch_rows(taped_and_tape_free(wide_model(), x)[0])
+        assert np.any((update > 0) & (copy > 0) & (flush > 0))
+        assert np.any(2 * (update + flush) < 8) and np.any(copy == 8)
+
+    def test_only_a_wide_forward_without_a_tape_skips_rows(self, monkeypatch):
+        calls = []
+        skipping = hc._live_rows_preactivation
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return skipping(*args)
+
+        monkeypatch.setattr(hc, "_live_rows_preactivation", counting)
+        x = np.random.default_rng(42).normal(size=(4, 5, K2, FEAT))
+        taped_and_tape_free(wide_model(), x)
+        assert calls == [(4, WIDE)] * 15  # once per layer step, without the tape only
+        calls.clear()
+        narrow = hm.HMAN(tiny_config(layers=3, hidden=WIDE - 1), np.random.default_rng(40))
+        taped, free = taped_and_tape_free(narrow, x)
+        assert calls == []
+        npt.assert_array_equal(free.step_probs.data, taped.step_probs.data)
+        for got, want in zip(free.z_logits, taped.z_logits):
+            npt.assert_array_equal([z.data for z in got], [z.data for z in want])
+
+    @pytest.mark.parametrize("mode", ["soft", "gumbel-adaptive"])
+    def test_evaluate_and_predict_video_match_the_benchmark_oracle(self, mode):
+        oracle_module = load_bench_oracle()
+        model = wide_model(attention=mode)
+        rng = np.random.default_rng(43)
+        samples = [hd.VideoSample(id=str(k), label=k % CLASSES,
+                                  features=rng.normal(size=(int(rng.integers(8, 26)), K2, FEAT)))
+                   for k in range(10)]
+        oracle = oracle_module.Oracle(model)
+        report = ht.evaluate(model, samples, block_len=10)
+        npt.assert_array_equal(report.confusion, oracle.confusion(samples, 10, CLASSES))
+        for sample in samples[:4]:
+            blocks = ht.split_blocks(sample.features, 10)
+            predicted, probs = model.predict_video(blocks)
+            want_class, want_probs = oracle.predict(sample.features, 10)
+            assert predicted == want_class
+            npt.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
 
 
 class TestCheckpoint:
