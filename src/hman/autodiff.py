@@ -15,7 +15,12 @@ Every learnable computation in this package is expressed through the
   get their gradients this way, once per sequence instead of once per
   step (Appleyard et al., arXiv 1604.01946),
 * an op with several outputs returns one array; :func:`read` gives each
-  output as a view of it that records no tape node of its own.
+  output as a view of it that records no tape node of its own, and whose
+  grad is bound to a view of the owner's on its first adjoint,
+* a replay frees the graph as it goes: each node leaves the tape and drops
+  its backward function and parents once its backward has run, so a
+  training step's intermediates die during backward, and a second
+  backward over the same root is an error.
 
 Broadcasting in elementwise ops follows numpy rules (adjoints are
 summed back over broadcast axes); the cases relied on throughout the
@@ -71,7 +76,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward_fn", "_backward_ran",
-                 "_owner", "_deferred")
+                 "_owner", "_index", "_deferred")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(values)
@@ -82,6 +87,7 @@ class Tensor:
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._backward_ran = False
         self._owner: Tensor | None = None  # the op output this tensor reads; see read()
+        self._index = None  # where in the owner it reads
         self._deferred: list | None = None  # [xs, gs, rows] of _defer, during a replay
 
     # -- construction ---------------------------------------------------
@@ -178,6 +184,11 @@ def _ensure_tensor(value) -> Tensor:
 def _accumulate(parent: Tensor, contribution: np.ndarray) -> None:
     if not parent.requires_grad:
         return
+    if parent.grad is None and parent._owner is not None:  # a read()'s first adjoint
+        owner = parent._owner
+        if owner.grad is None:
+            owner.grad = np.zeros(owner.data.shape)
+        parent.grad = owner.grad[parent._index]
     if parent.grad is None:
         parent.grad = np.array(contribution, dtype=np.float64, copy=True)
     else:
@@ -247,6 +258,12 @@ class Tape:
     deferred weight-gradient pairs (:func:`_defer`) are summed into its
     grad when the replay reaches it, after every op that uses it; a
     replay that raises drops the pairs still waiting.
+
+    A replay unlinks the graph as it goes: it pops each node off
+    ``nodes`` and, once the node's backward has run, drops its backward
+    function and parents, so what only the graph held is freed during
+    the replay.  Grads stay, and a node that no adjoint reached gets
+    zeros.
     """
 
     def __init__(self, root: Tensor):
@@ -269,11 +286,15 @@ class Tape:
     def replay_adjoints(self) -> None:
         self.root.grad = np.ones_like(self.root.data)
         try:
-            for node in reversed(self.nodes):
+            while self.nodes:
+                node = self.nodes.pop()
                 if node._deferred is not None:
                     _sum_deferred(node)
+                if node.grad is None:  # no adjoint reached it, e.g. only unused read()s
+                    node.grad = np.zeros(node.data.shape)
                 if node._backward_fn is not None:
                     node._backward_fn(node.grad)
+                    node._backward_fn, node._parents = None, ()
         finally:
             for node in self.nodes:
                 node._deferred = None
@@ -495,28 +516,24 @@ def read(owner: Tensor, index) -> Tensor:
     """One output of a multi-output op: ``owner.data[index]`` as a view.
 
     ``index`` must be a basic index (integers and slices), so the read
-    shares memory with ``owner``.  It records no tape node: its ``grad``
-    is the same view of ``owner.grad``, which is allocated here as
-    zeros, so every adjoint accumulated into the read lands in the
-    owner's, and :class:`Tape` walks to ``owner`` instead.  Neither grad
-    may be reset while the graph is in use.
+    shares memory with ``owner``.  It records no tape node, and
+    :class:`Tape` walks to ``owner`` instead.  Its ``grad`` stays None
+    until the first adjoint reaches it; ``_accumulate`` then binds it to
+    the same view of ``owner.grad``, allocating that as zeros if it is
+    still None, so every adjoint accumulated into the read lands in the
+    owner's.  Neither grad may be reset while the graph is in use.
     """
     out = Tensor.__new__(Tensor)
     out.data = owner.data[index]
+    out.grad = None
     out.name = None
     out._parents = ()
     out._backward_fn = None
     out._backward_ran = False
     out._deferred = None
     out.requires_grad = owner.requires_grad
-    if owner.requires_grad:
-        if owner.grad is None:
-            owner.grad = np.zeros(owner.data.shape)
-        out.grad = owner.grad[index]
-        out._owner = owner
-    else:
-        out.grad = None
-        out._owner = None
+    out._owner = owner if owner.requires_grad else None
+    out._index = index
     return out
 
 

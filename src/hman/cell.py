@@ -41,9 +41,10 @@ of those ops, which record no node of their own:
   g*z_below*y*(1-y)/tau and ``z_below`` receives g*bit.
 * ``_state``: the [i|f|o|g] gates and the UPDATE/COPY/FLUSH multiplex,
   returning c and h stacked as one (2, B, hidden) array.  It keeps the
-  gate activations, i*g, f*c_prev + i*g, tanh(c) (or c) and o*tanh(c),
-  and the (B, 1) branch weights; its backward reaches s, c_prev, h_prev,
-  z_prev and z_below.
+  [i|f|o] and g activations, tanh(c) (or c), its output and the (B, 1)
+  branch weights; its backward rebuilds i*g, f*c_prev + i*g and
+  o*tanh(c) with the forward's expressions, so bitwise, and reaches s,
+  c_prev, h_prev, z_prev and z_below.
 
 Each op calls the kernels of the ``autodiff`` primitives it fuses (the
 logistic is ``autodiff._sigmoid``) and keeps the op-by-op order of the rest
@@ -334,6 +335,10 @@ def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
         if h_prev.requires_grad:
             ad._accumulate(h_prev, ad._unbroadcast(gh * copy_mask, h_prev.shape))
         if z_prev.requires_grad or below_z.requires_grad:
+            # rebuilt with the forward's expressions, so bitwise its values
+            flush_c = i * g
+            update_c = f * c_prev.data + flush_c
+            active_h = o * squashed
             d_update_w = (dc * update_c).sum(axis=-1, keepdims=True)
             d_copy = dc * c_prev.data + gh * (h_prev.data - active_h)
             d_copy = d_copy.sum(axis=-1, keepdims=True)

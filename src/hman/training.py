@@ -4,7 +4,9 @@ One optimizer step per mini-batch: sample a frame window per clip,
 forward the batch, assemble the mode-specific loss (plain summed cross
 entropy, or the score-function surrogate for reinforce attention) plus
 the boundary-detector loss, backpropagate, clip by global norm, and
-apply Adam.  The iteration counter drives the learning-rate drop.
+apply Adam.  The step returns only numbers, so a batch's graph is freed
+before the next batch's forward.  The iteration counter drives the
+learning-rate drop.
 Metrics are emitted one CSV row per epoch.
 """
 
@@ -83,9 +85,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     Aborts with the parameter name on any non-finite gradient; a NaN
     would otherwise poison the moments silently.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingAbort(f"non-finite gradient in parameter {name!r}")
+    require_finite(grads)
     state.t += 1
     correct1 = 1.0 - ADAM_BETA1 ** state.t
     correct2 = 1.0 - ADAM_BETA2 ** state.t
@@ -96,6 +96,13 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         m_hat = state.m[name] / correct1
         v_hat = state.v[name] / correct2
         p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def require_finite(grads: dict[str, np.ndarray], where: str = "") -> None:
+    """Abort naming the first parameter whose gradient is not finite, then ``where``."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainingAbort(f"non-finite gradient in parameter {name!r}{where}")
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> tuple[dict[str, np.ndarray], float]:
@@ -182,12 +189,48 @@ class Trainer:
         order = self.rng.permutation(len(chunks))
         return [chunks[i] for i in order]
 
+    def _step(self, x: np.ndarray, labels: np.ndarray, lr: float,
+              clip_ids: list[str]) -> tuple[float, int, np.ndarray, list[float]]:
+        """One optimizer step on a batch: forward, loss, backward, clipping, Adam.
+
+        Returns numbers, no tensor: the batch's mean cross entropy, its hits,
+        the (L,) update rates and the attention temperatures (adaptive mode
+        only), so the batch's graph dies here.  A non-finite gradient aborts
+        before clipping, which would spread it to every parameter, naming
+        the parameter, the iteration and ``clip_ids``.
+        """
+        cfg = self.config
+        reinforce = self.model.config.attention == "reinforce"
+        self.model.zero_grad()
+        out = self.model.forward_batch(x, rng=self.rng, train=True)
+        if reinforce:
+            ll = hm.sequence_log_likelihood(out.step_probs, labels)
+            loss = at.reinforce_surrogate([a.log_prob for a in out.attention], ll,
+                                          self.baseline.value, cfg.reinforce_lambda)
+            batch_ce = -float(ll.data.mean())
+        else:
+            loss = hm.batch_sequence_loss(out.step_probs, labels)
+            batch_ce = loss.item()
+        if self.model.config.force_z is None:  # learned boundaries only
+            loss = loss + hm.boundary_loss(out.z_logits, hm.boundary_targets(x))
+        ad.backward(loss)
+        grads = {n: p.grad if p.grad is not None else np.zeros(p.shape)
+                 for n, p in self.model.params.items()}
+        require_finite(grads, f" at iteration {self.iteration}, batch of clips {clip_ids}")
+        grads, _ = clip_global_norm(grads, cfg.clip_norm)
+        adam_step(self.model.params, grads, self.adam, lr)
+        if reinforce:
+            self.baseline.update(-batch_ce)  # the batch's mean log-likelihood
+        taus = []
+        if self.model.config.attention == "gumbel-adaptive":
+            taus = [float(v) for a in out.attention for v in np.ravel(a.tau)]
+        hits = int(np.sum(np.argmax(out.mean_probs(), axis=-1) == labels))
+        return batch_ce, hits, out.update_mask.mean(axis=(0, 2)), taus
+
     def train_epoch(self, train_samples: list[VideoSample], epoch: int) -> EpochMetrics:
         if not train_samples:
             raise ConfigError("training split is empty")
         cfg = self.config
-        reinforce = self.model.config.attention == "reinforce"
-        adaptive = self.model.config.attention == "gumbel-adaptive"
         loss_sum = 0.0
         seen = 0
         correct = 0
@@ -205,34 +248,13 @@ class Trainer:
             x = np.stack([s.features[sample_window(s.features.shape[0], length, cfg, self.rng)]
                           for s in chunk])
             labels = np.array([s.label for s in chunk])
-
-            self.model.zero_grad()
-            out = self.model.forward_batch(x, rng=self.rng, train=True)
-            if reinforce:
-                ll = hm.sequence_log_likelihood(out.step_probs, labels)
-                loss = at.reinforce_surrogate([a.log_prob for a in out.attention], ll,
-                                              self.baseline.value, cfg.reinforce_lambda)
-                batch_ce = -float(ll.data.mean())
-            else:
-                loss = hm.batch_sequence_loss(out.step_probs, labels)
-                batch_ce = loss.item()
-            if self.model.config.force_z is None:  # learned boundaries only
-                loss = loss + hm.boundary_loss(out.z_logits, hm.boundary_targets(x))
-            ad.backward(loss)
-            grads = {n: p.grad if p.grad is not None else np.zeros(p.shape)
-                     for n, p in self.model.params.items()}
-            grads, _ = clip_global_norm(grads, cfg.clip_norm)
-            adam_step(self.model.params, grads, self.adam, lr)
-            if reinforce:
-                self.baseline.update(-batch_ce)  # the batch's mean log-likelihood
-
+            batch_ce, hits, rates, batch_taus = self._step(x, labels, lr, [s.id for s in chunk])
             loss_sum += batch_ce * len(chunk)
             seen += len(chunk)
-            correct += int(np.sum(np.argmax(out.mean_probs(), axis=-1) == labels))
-            rate_sum += out.update_mask.mean(axis=(0, 2))
+            correct += hits
+            rate_sum += rates
             rate_batches += 1
-            if adaptive:
-                taus.extend(float(v) for a in out.attention for v in np.ravel(a.tau))
+            taus.extend(batch_taus)
 
         return EpochMetrics(
             epoch=epoch, iteration=self.iteration,

@@ -214,6 +214,46 @@ class TestShapingOps:
         npt.assert_array_equal(x.grad, np.full((2, 3), 2.0 / 6.0))
 
 
+class TestReadGradsAreLazy:
+    """A read() binds its grad to a view of the owner's on its first adjoint."""
+
+    @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "op-output"])
+    def test_grad_appears_at_backward_and_shares_the_owners(self, leaf):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        owner = a if leaf else a * 2.0
+        first, second = ad.read(owner, 0), ad.read(owner, (1, slice(1, 3)))
+        loss = ad.sum_(first * first) + ad.sum_(second * 3.0)
+        assert owner.grad is None and first.grad is None and second.grad is None
+        ad.backward(loss)
+        assert np.shares_memory(first.grad, owner.grad)
+        assert np.shares_memory(second.grad, owner.grad)
+        npt.assert_array_equal(owner.grad, np.array([2.0 * owner.data[0], [0.0, 3.0, 3.0]]))
+
+    def test_owner_whose_reads_get_no_adjoint_replays_zeros(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        owner = a * 2.0
+        view = ad.read(owner, 0)
+        ignores = Tensor._from_op(np.sum(view.data), (view,), lambda g: None)
+        ad.backward(ignores + ad.sum_(a))
+        assert view.grad is None
+        npt.assert_array_equal(owner.grad, np.zeros((2, 3)))
+        npt.assert_array_equal(a.grad, np.ones((2, 3)))
+
+
+class TestReplayUnlinksTheGraph:
+    def test_replayed_nodes_drop_backward_and_parents_but_keep_grads(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        hidden = ad.tanh(x * x)
+        loss = ad.sum_(hidden * 3.0)
+        tape = ad.Tape(loss)
+        nodes = list(tape.nodes)
+        tape.replay_adjoints()
+        assert tape.nodes == []
+        assert all(n._backward_fn is None and n._parents == () for n in nodes)
+        npt.assert_array_equal(hidden.grad, np.full(4, 3.0))
+        npt.assert_allclose(x.grad, 3.0 * (1.0 - np.tanh(x.data ** 2) ** 2) * 2.0 * x.data)
+
+
 class TestNumericGradientHelper:
     def test_matches_analytic_on_quadratic(self):
         x = np.array([1.0, -2.0, 0.5])

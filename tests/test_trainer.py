@@ -1,5 +1,7 @@
 """Optimizer, schedule, clipping, epoch loop, evaluation metrics."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,7 @@ from hman import autodiff as ad
 from hman import data as hd
 from hman import model as hm
 from hman import training as ht
-from hman.autodiff import Tensor
+from hman.autodiff import ContractError, Tensor
 from hman.errors import ConfigError, TrainingAbort
 
 
@@ -189,6 +191,28 @@ class TestTrainEpoch:
         with pytest.raises(ConfigError):
             small_trainer().train_epoch([], epoch=1)
 
+    def test_nan_gradient_aborts_before_clipping_naming_parameter_iteration_and_clips(
+            self, small_dataset, monkeypatch):
+        # clipping first would turn every gradient into NaN and name the first parameter
+        _, train, _ = small_dataset
+        trainer = small_trainer(ht.TrainConfig(batch_size=8, window=3, lr=3e-3, epochs=1))
+        batches = []
+        split = trainer._batches
+        monkeypatch.setattr(trainer, "_batches", lambda t: batches.extend(split(t)) or batches)
+        backward = ad.backward
+
+        def poisoned(loss):
+            backward(loss)
+            if trainer.iteration == 2:
+                trainer.model.params["layer2.bias"].grad[0, 3] = np.nan
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(TrainingAbort) as caught:
+            trainer.train_epoch(train, epoch=1)
+        clip_ids = [train[i].id for i in batches[1]]
+        assert str(caught.value) == ("non-finite gradient in parameter 'layer2.bias' "
+                                     f"at iteration 2, batch of clips {clip_ids}")
+
     def test_identical_seed_and_config_reproduce_metrics(self, small_dataset):
         _, train, _ = small_dataset
         rows = []
@@ -207,6 +231,58 @@ class TestTrainEpoch:
         r = ht.sample_window(30, 10, cfg_random, rng)
         assert len(r) == 10 and np.all(np.diff(r) >= 1)
         assert np.array_equal(ht.sample_window(5, 10, cfg_window, rng), np.arange(5))
+
+
+class TestOneGraphPerStep:
+    """A training step holds one graph, and its backward frees it."""
+
+    @staticmethod
+    def wide_trainer():
+        rng = np.random.default_rng(4)
+        clips = [hd.VideoSample(id=f"clip{i:02d}", label=i % 4,
+                                features=rng.normal(size=(20, 4, 6))) for i in range(24)]
+        config = hm.ModelConfig(layers=3, hidden=32, grid_side=2, feat_dim=6, classes=4,
+                                attention="gumbel-adaptive")
+        model = hm.HMAN(config, np.random.default_rng(0))
+        return ht.Trainer(model, ht.TrainConfig(batch_size=8, window=20, seed=0)), clips
+
+    @staticmethod
+    def loss_of_one_batch(model, clips):
+        x = np.stack([c.features for c in clips[:8]])
+        out = model.forward_batch(x, rng=np.random.default_rng(1), train=True)
+        return (hm.batch_sequence_loss(out.step_probs, np.array([c.label for c in clips[:8]]))
+                + hm.boundary_loss(out.z_logits, hm.boundary_targets(x)))
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_epoch_peak_stays_near_one_forward_and_backward(self):
+        # two coexisting graphs read about 2x; one graph at a time about 1.15x
+        trainer, clips = self.wide_trainer()
+        single = self.traced_peak(
+            lambda: ad.backward(self.loss_of_one_batch(trainer.model, clips)))
+        trainer.model.zero_grad()
+        epoch = self.traced_peak(lambda: trainer.train_epoch(clips, epoch=1))
+        assert trainer.iteration == 3
+        assert epoch < 1.5 * single, (epoch, single)
+
+    def test_backward_unlinks_every_replayed_node_and_still_runs_once(self):
+        trainer, clips = self.wide_trainer()
+        loss = self.loss_of_one_batch(trainer.model, clips)
+        nodes = ad.Tape(loss).nodes
+        ad.backward(loss)
+        assert len(nodes) > 100
+        assert all(n._backward_fn is None and n._parents == () for n in nodes)
+        with pytest.raises(ContractError, match="already"):
+            ad.backward(loss)
 
 
 class TestEvaluate:
