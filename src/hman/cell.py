@@ -148,7 +148,7 @@ def initial_state(hidden: int, batch: int = 1) -> LayerState:
 
 def _require_binary(z: Tensor, what: str) -> None:
     d = z.data
-    if not np.all((d == 0.0) | (d == 1.0)):
+    if not ((d == 0.0) | (d == 1.0)).all():
         raise ContractError(f"{what} must be exactly 0/1, got values like {d.ravel()[:4]}")
 
 

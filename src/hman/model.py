@@ -30,7 +30,9 @@ from .errors import ConfigError, FormatError, field_error
 ATTENTION_MODES = ("soft", "reinforce", "gumbel-constant", "gumbel-adaptive")
 EVAL_Z_MODES = ("deterministic", "sampled")
 EVAL_NOISE_SEED = 0  # seeds the boundary noise of a sampled evaluation
-EVAL_CHUNK_ROWS = 64  # most blocks per evaluation forward: the recipe's training batch
+# Most padded frames per evaluation forward: 64 blocks (the recipe's training
+# batch) of 60 frames (its window).
+EVAL_CHUNK_FRAMES = 64 * 60
 
 CHECKPOINT_MAGIC = b"HMAN1"
 
@@ -180,7 +182,8 @@ class HMAN:
 
     def forward_batch(self, x: np.ndarray, rng: np.random.Generator | None = None,
                       train: bool = True, soft_boundaries: bool = False,
-                      soft_attention_sample: bool = False) -> BatchOutput:
+                      soft_attention_sample: bool = False,
+                      lengths: np.ndarray | None = None) -> BatchOutput:
         """Run a (B, T, K*K, D) batch through the network.
 
         Initial states are zero with boundary bits 0.  Every random number
@@ -189,6 +192,17 @@ class HMAN:
         then the boundary noise of the whole stack.  A unit given no noise
         runs noise-free, so the default evaluation is deterministic
         (noise-free boundary bits, argmax attention).
+
+        ``lengths``, a (B,) array of non-increasing ints in [1, T], makes
+        the batch ragged: row b is real for its first ``lengths[b]`` steps,
+        and step t runs only the n_t rows still running, a prefix of the
+        batch (attention, the layer stack and the boundary noise alike).
+        ``attention[t]`` and ``z_logits[l][t]`` hold those n_t rows, and a
+        row's ``step_probs``, ``z_history`` and ``update_mask`` are zero
+        past its length.  The recurrence is causal, so a row's own steps
+        are those of a forward of that row alone, to rounding.  Only a
+        forward that records no tape (under ``autodiff.no_grad``) can be
+        ragged.
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
@@ -203,59 +217,87 @@ class HMAN:
             (train and cfg.attention != "soft")
         if needs_rng and rng is None:
             raise ContractError("this configuration draws noise; pass an rng")
+        live = np.ones((steps, batch), dtype=bool) if lengths is None else \
+            self._live_steps(lengths, batch, steps)
+        running = live.sum(axis=1).tolist()
 
         states = [hc.initial_state(cfg.hidden, batch) for _ in range(cfg.layers)]
         ones = Tensor(np.ones((batch, 1)))
         draws_z = cfg.force_z is None and not deterministic_z
         attention: list[at.AttentionResult] = []
         z_history = np.zeros((steps, cfg.layers, batch))
-        update_mask = np.zeros((steps, cfg.layers, batch))
         z_logits: list[list[Tensor]] = [[] for _ in range(cfg.layers)]
-        stacked = np.empty((steps, batch, cfg.layers * cfg.hidden))  # [h1|...|hL] per step
+        stacked = np.zeros((steps, batch, cfg.layers * cfg.hidden))  # [h1|...|hL] per step
         head_inputs: list[Tensor] = []  # the tensors copied into ``stacked``, step-major
 
+        rows = batch
         for t in range(steps):
-            feats = Tensor(x[:, t])
+            if running[t] < rows:  # rows that ended drop out; no tape holds them
+                rows = running[t]
+                states = [hc.LayerState(c=Tensor(s.c.data[:rows]), h=Tensor(s.h.data[:rows]),
+                                        z=Tensor(s.z.data[:rows])) for s in states]
+                ones = Tensor(ones.data[:rows])
+            feats = Tensor(x[:rows, t])
             result = self._attend(states[0].h, feats, rng, train, soft_attention_sample)
             attention.append(result)
-            # every layer's (a, b) pair at once: g[layer] is (2, B, 1)
-            g = stu.sample_gumbel((cfg.layers, 2, batch, 1), rng).data if draws_z else None
+            # every layer's (a, b) pair at once: g[layer] is (2, rows, 1)
+            g = stu.sample_gumbel((cfg.layers, 2, rows, 1), rng).data if draws_z else None
 
             below_h, below_z = result.attended, ones
             new_states = []
             for idx in range(cfg.layers):
                 above = states[idx + 1].h if idx + 1 < cfg.layers else None
-                prev = states[idx]
-                state = hc.step(prev, below_h, below_z, above, self.layer_params(idx + 1),
+                state = hc.step(states[idx], below_h, below_z, above, self.layer_params(idx + 1),
                                 noise=None if g is None else g[idx],
                                 tau=cfg.boundary_tau,
                                 soft_boundaries=soft_boundaries,
                                 hidden_tanh=cfg.cell_hidden_tanh,
                                 force_z=cfg.force_z)
-                z_history[t, idx] = state.z.data[:, 0]
-                update_mask[t, idx] = 1.0 - (1.0 - prev.z.data[:, 0]) * (1.0 - below_z.data[:, 0])
+                z_history[t, idx, :rows] = state.z.data[:, 0]
                 z_logits[idx].append(state.z_logit)
                 new_states.append(state)
                 below_h, below_z = state.h, state.z
             states = new_states
-            np.concatenate([s.h.data for s in states], axis=-1, out=stacked[t])
+            np.concatenate([s.h.data for s in states], axis=-1, out=stacked[t, :rows])
             head_inputs.extend(s.h for s in states)
         probs = _sequence_head(stacked, head_inputs, self.params["head.w"], self.params["head.b"])
+        # a layer recomputed its state where its own bit at t-1 or the bit below at t was 1;
+        # a row past its length did nothing
+        z_prev = np.concatenate([np.zeros_like(z_history[:1]), z_history[:-1]])
+        z_below = np.concatenate([live[:, None].astype(np.float64), z_history[:, :-1]], axis=1)
+        update_mask = (1.0 - (1.0 - z_prev) * (1.0 - z_below)) * live[:, None]
+        probs.data[~live] = 0.0
         return BatchOutput(step_probs=probs, attention=attention, z_history=z_history,
                            update_mask=update_mask, z_logits=z_logits)
+
+    def _live_steps(self, lengths, batch: int, steps: int) -> np.ndarray:
+        """The (T, B) mask of the steps each row of a ragged batch runs."""
+        lengths = np.asarray(lengths)
+        if lengths.shape != (batch,) or not np.issubdtype(lengths.dtype, np.integer):
+            raise ContractError(f"lengths must be ({batch},) ints, got {lengths.dtype} "
+                                f"{lengths.shape}")
+        if batch and (lengths.min() < 1 or lengths.max() > steps):
+            raise ContractError(f"lengths must lie in [1, {steps}], got {lengths}")
+        if np.any(np.diff(lengths) > 0):
+            raise ContractError(f"lengths must not increase, got {lengths}")
+        if ad._records(self.params.values()):
+            raise ContractError("a ragged batch cannot record a tape; run it under no_grad")
+        return np.arange(steps)[:, None] < lengths
 
     def predict_video(self, blocks: list[np.ndarray],
                       rng: np.random.Generator | None = None) -> tuple[int, np.ndarray]:
         """Average per-step predictions within each block, then across blocks.
 
         Runs in evaluation mode through :func:`score_clips`: the blocks are
-        sorted by length, zero-padded at the end and scored together, and
+        sorted longest first, zero-padded at the end and scored together by
+        one ragged forward (a step runs only the blocks not yet ended), and
         each block is averaged over its own steps only.  Hard attention
         selects by argmax and, with the default ``eval_z``, boundary bits
         are noise-free and ``rng`` is never drawn from.  With
         ``eval_z="sampled"`` the boundary noise comes from ``rng``, or from
         a generator seeded with ``EVAL_NOISE_SEED`` (0) when none is given,
-        and a block's noise depends on the blocks it is scored with.
+        drawn for the running rows of each step, and a block's noise
+        depends on the blocks it is scored with.
         Ties resolve to the lowest class index.
         """
         if rng is None:
@@ -278,16 +320,18 @@ def score_clips(model: HMAN, clips: list[list[np.ndarray]],
     """Block-averaged class probabilities of every clip, as an (N, C) array.
 
     ``clips[i]`` holds clip i's (T_b, K*K, D) blocks.  All blocks, from
-    every clip, are sorted by length (ties keep their input order) and
-    cut into chunks of at most ``EVAL_CHUNK_ROWS``.  Each chunk is
-    zero-padded at the end to its longest block and scored by one
-    forward in evaluation mode under ``no_grad``.  The recurrence is
-    causal, so padding leaves a block's own steps unchanged, and each
-    block's row is the mean of its per-step probabilities over its own
-    T_b steps only.  A clip's row is the mean over its blocks in their
-    own order.  With ``eval_z="sampled"`` each forward draws its chunk's
-    boundary noise from ``rng``, padded steps included, so a clip's noise
-    depends on the blocks it shares a chunk with.
+    every clip, are sorted longest first (ties keep their input order) and
+    cut into chunks: a chunk takes blocks while its rows times the length
+    of its first block stay within ``EVAL_CHUNK_FRAMES``, and a block
+    longer than that gets a chunk of its own.  Each chunk is zero-padded
+    at the end to its first block and scored by one ragged forward
+    (``HMAN.forward_batch`` with ``lengths``) in evaluation mode under
+    ``no_grad``, so a step runs only the blocks that have not ended.  Each
+    block's row is the mean of its per-step probabilities over its own T_b
+    steps, and a clip's row the mean over its blocks in their own order.
+    With ``eval_z="sampled"`` each forward draws its chunk's boundary
+    noise from ``rng`` for the running rows of each step, so a clip's
+    noise depends on the blocks it shares a chunk with.
     """
     if not all(clips):
         raise ContractError("every clip needs at least one block")
@@ -301,17 +345,23 @@ def score_clips(model: HMAN, clips: list[list[np.ndarray]],
                 raise ConfigError(f"clip {i} block {b} has shape {block.shape}, expected "
                                   f"(T >= 1, {cfg.locations}, {cfg.feat_dim})")
             blocks.append(block)
-    order = sorted(range(len(blocks)), key=lambda k: len(blocks[k]))
+    order = sorted(range(len(blocks)), key=lambda k: -len(blocks[k]))
     rows = np.zeros((len(blocks), cfg.classes))
+    start = 0
     with ad.no_grad():
-        for start in range(0, len(order), EVAL_CHUNK_ROWS):
-            chunk = order[start:start + EVAL_CHUNK_ROWS]
-            padded = np.zeros((len(chunk), len(blocks[chunk[-1]]), cfg.locations, cfg.feat_dim))
+        while start < len(order):
+            longest = len(blocks[order[start]])
+            chunk = order[start:start + max(1, EVAL_CHUNK_FRAMES // longest)]
+            start += len(chunk)
+            lengths = np.array([len(blocks[k]) for k in chunk])
+            padded = np.zeros((len(chunk), longest, cfg.locations, cfg.feat_dim))
             for j, k in enumerate(chunk):
-                padded[j, :len(blocks[k])] = blocks[k]
-            probs = model.forward_batch(padded, rng=rng, train=False).step_probs.data
-            for j, k in enumerate(chunk):
-                rows[k] = np.mean(probs[:len(blocks[k]), j], axis=0)
+                padded[j, :lengths[j]] = blocks[k]
+            probs = model.forward_batch(padded, rng=rng, train=False,
+                                        lengths=lengths).step_probs.data
+            # the sum of the steps in order, as np.mean over them adds them
+            sums = np.add.accumulate(probs, axis=0)[lengths - 1, np.arange(len(chunk))]
+            rows[chunk] = sums / lengths[:, None]
     bounds = np.cumsum([0] + [len(clip) for clip in clips])
     scores = np.zeros((len(clips), cfg.classes))
     for i in range(len(clips)):

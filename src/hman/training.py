@@ -294,15 +294,17 @@ def evaluate(model: hm.HMAN, samples: list[VideoSample], block_len: int,
     """Block-averaged predictions per clip, scored by :func:`hm.score_clips`.
 
     Every clip is cut into ``block_len``-frame blocks.  The blocks of all
-    clips are sorted by length, zero-padded at the end to the longest of
-    their chunk and scored together, and each block is averaged over its
-    own steps only.  Ties go to the lowest class index.  Deterministic
-    with the default ``eval_z``.  With ``eval_z="sampled"`` the boundary
-    noise of every chunk comes from one generator seeded with
-    ``hm.EVAL_NOISE_SEED`` (0), drawn chunk by chunk in order of block
-    length; a clip's noise therefore depends on which clips it is
-    evaluated with, and the same samples in the same order give the same
-    report.
+    clips are sorted longest first and cut into chunks of at most
+    ``hm.EVAL_CHUNK_FRAMES`` padded frames (a longer block alone); each
+    chunk is zero-padded at the end to its longest block and scored by one
+    ragged forward, in which a step runs only the blocks not yet ended,
+    and each block is averaged over its own steps only.  Ties go to the
+    lowest class index.  Deterministic with the default ``eval_z``.  With
+    ``eval_z="sampled"`` the boundary noise of every chunk comes from one
+    generator seeded with ``hm.EVAL_NOISE_SEED`` (0), drawn chunk by
+    chunk, longest blocks first, for the running rows of each step; a
+    clip's noise therefore depends on which clips it is evaluated with,
+    and the same samples in the same order give the same report.
     """
     if block_len < 1:
         raise ConfigError(f"block_len (--block-len) must be at least 1, got {block_len}")

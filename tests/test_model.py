@@ -657,6 +657,101 @@ class TestTapeFreeWideEvaluation:
             npt.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
 
 
+def ragged_model(attention="soft", force_z=None, hidden=10, **kw):
+    """A 3-layer model whose boundary detectors fire about half the time."""
+    model = hm.HMAN(tiny_config(layers=3, hidden=hidden, attention=attention, force_z=force_z,
+                                **kw), np.random.default_rng(50))
+    for layer in (1, 2, 3):
+        model.layer_params(layer).bias.data[0, -1] = 0.0
+    return model
+
+
+class TestRaggedForward:
+    """With ``lengths`` a step runs only the rows that have not ended; each row's
+    own steps are those of a forward of that row alone."""
+
+    LENGTHS = np.array([9, 9, 7, 4, 4, 2, 1])
+
+    @pytest.mark.parametrize("hidden", [10, WIDE])
+    @pytest.mark.parametrize("force_z", [None, 0.0])
+    @pytest.mark.parametrize("mode", hm.ATTENTION_MODES)
+    def test_each_row_matches_a_forward_of_its_own_block(self, mode, force_z, hidden):
+        model = ragged_model(mode, force_z, hidden)
+        lengths, steps = self.LENGTHS, self.LENGTHS[0]
+        # the padding holds noise, not zeros: nothing past a row's length is read
+        x = np.random.default_rng(51).normal(size=(len(lengths), steps, K2, FEAT))
+        with ad.no_grad():
+            out = model.forward_batch(x, train=False, lengths=lengths)
+            for b, n in enumerate(lengths):
+                own = model.forward_batch(x[b:b + 1, :n], train=False)
+                npt.assert_allclose(out.step_probs.data[:n, b], own.step_probs.data[:, 0],
+                                    rtol=0, atol=1e-12)
+                npt.assert_array_equal(out.z_history[:n, :, b], own.z_history[:, :, 0])
+                npt.assert_array_equal(out.update_mask[:n, :, b], own.update_mask[:, :, 0])
+                assert not out.step_probs.data[n:, b].any()
+                assert not out.z_history[n:, :, b].any()
+                assert not out.update_mask[n:, :, b].any()
+        if force_z is None:  # layers above the first mark boundaries too
+            assert out.z_history[:, 1:].any()
+        running = (lengths > np.arange(steps)[:, None]).sum(axis=1).tolist()
+        assert [len(a.weights.data) for a in out.attention] == running
+        assert [[len(z.data) for z in layer] for layer in out.z_logits] == [running] * 3
+
+    def test_sampled_noise_is_drawn_for_running_rows_only(self):
+        model = ragged_model(eval_z="sampled")
+        x = np.random.default_rng(52).normal(size=(len(self.LENGTHS), 9, K2, FEAT))
+        rng = np.random.default_rng(53)
+        with ad.no_grad():
+            model.forward_batch(x, rng=rng, train=False, lengths=self.LENGTHS)
+        expected = np.random.default_rng(53)
+        expected.random(int(self.LENGTHS.sum()) * 2 * 3)  # an (a, b) pair per layer row-step
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("lengths, match", [
+        ([3, 4], "must not increase"),
+        ([4, 0], r"in \[1, 4\]"),
+        ([5, 3], r"in \[1, 4\]"),
+        ([4], r"\(2,\) ints"),
+        ([[4, 3]], r"\(2,\) ints"),
+        ([4.0, 3.0], r"\(2,\) ints"),
+    ])
+    def test_bad_lengths_raise(self, lengths, match):
+        with ad.no_grad(), pytest.raises(ContractError, match=match):
+            tiny_model().forward_batch(np.zeros((2, 4, K2, FEAT)), train=False,
+                                       lengths=np.array(lengths))
+
+    def test_a_ragged_batch_cannot_record_a_tape(self):
+        with pytest.raises(ContractError, match="no_grad"):
+            tiny_model().forward_batch(np.zeros((2, 4, K2, FEAT)), train=False,
+                                       lengths=np.array([4, 3]))
+
+    @pytest.mark.parametrize("mode", hm.ATTENTION_MODES)
+    def test_score_clips_chunks_longest_first_within_the_frame_bound(self, mode, monkeypatch):
+        monkeypatch.setattr(hm, "EVAL_CHUNK_FRAMES", 12)
+        model = ragged_model(mode)
+        lengths = [3, 5, 2, 14, 5, 1, 4, 3, 6]
+        rng = np.random.default_rng(54)
+        blocks = [rng.normal(size=(n, K2, FEAT)) for n in lengths]
+        with ad.no_grad():
+            want = np.array([model.forward_batch(b[None], train=False).mean_probs()[0]
+                             for b in blocks])
+        first_frames = {blocks[k][0].tobytes(): k for k in range(len(blocks))}
+        chunks = []
+        original = hm.HMAN.forward_batch
+
+        def recording(self, x, *args, **kwargs):
+            chunks.append(([first_frames[row[0].tobytes()] for row in x], x.shape[1],
+                           kwargs["lengths"].tolist()))
+            return original(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(hm.HMAN, "forward_batch", recording)
+        got = hm.score_clips(model, [[b] for b in blocks], np.random.default_rng(0))
+        # longest first, ties in input order; 14 frames exceed the bound alone
+        assert chunks == [([3], 14, [14]), ([8, 1], 6, [6, 5]), ([4, 6], 5, [5, 4]),
+                          ([0, 7, 2, 5], 3, [3, 3, 2, 1])]
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -93,6 +93,18 @@ def small_dataset(tmp_path_factory):
     return manifest, train, test
 
 
+def expected_chunks(lengths, frames):
+    """Block lengths sorted longest first, cut into the chunks of ``score_clips``: each
+    takes blocks while rows times its first length stay within ``frames``, at least one."""
+    lengths = sorted(lengths, reverse=True)
+    chunks = []
+    while lengths:
+        rows = max(1, frames // lengths[0])
+        chunks.append(lengths[:rows])
+        lengths = lengths[rows:]
+    return chunks
+
+
 def small_trainer(train_cfg=None, seed=0, **model_kw):
     base = dict(layers=2, hidden=8, grid_side=2, feat_dim=6, classes=4, attention="soft")
     base.update(model_kw)
@@ -304,7 +316,7 @@ class TestEvaluate:
                                                            monkeypatch):
         _, train, test = small_dataset
         samples = train + test  # clips of 6-10 frames
-        block_len = 3           # ragged last blocks of 1 and 2 frames; > 64 blocks of 3
+        block_len = 3           # ragged last blocks of 1 and 2 frames
         trainer = small_trainer(attention=attention)
         trainer.train_epoch(train, epoch=1)
         model = trainer.model
@@ -316,26 +328,28 @@ class TestEvaluate:
         labels = np.array([s.label for s in samples])
         expected = np.zeros((4, 4), dtype=np.int64)
         np.add.at(expected, (labels, np.argmax(want, axis=1)), 1)
+        lengths = [b.shape[0] for blocks in clips for b in blocks]
+        assert len(set(lengths)) == 3
 
-        sizes = []
         original = hm.HMAN.forward_batch
+        # the default bound holds every block; a bound of 100 frames cuts them into four
+        for frames, sizes in ((hm.EVAL_CHUNK_FRAMES, [112]), (100, [33, 33, 33, 13])):
+            seen = []
 
-        def counting(self, x, *args, **kwargs):
-            sizes.append(len(x))
-            return original(self, x, *args, **kwargs)
+            def recording(self, x, *args, **kwargs):
+                seen.append(kwargs["lengths"].tolist())
+                return original(self, x, *args, **kwargs)
 
-        monkeypatch.setattr(hm.HMAN, "forward_batch", counting)
-        report = ht.evaluate(model, samples, block_len=block_len)
-        monkeypatch.undo()
-        assert len({b.shape[0] for blocks in clips for b in blocks}) == 3
-        # all lengths in one sorted stream, cut into ceil(blocks / 64) chunks
-        full, rest = divmod(sum(len(blocks) for blocks in clips), hm.EVAL_CHUNK_ROWS)
-        assert sizes == [hm.EVAL_CHUNK_ROWS] * full + [rest] * (rest > 0) == [64, 48]
-        npt.assert_array_equal(report.confusion, expected)
-
-        got = hm.score_clips(model, clips, np.random.default_rng(0))
-        npt.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
-        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+            monkeypatch.setattr(hm, "EVAL_CHUNK_FRAMES", frames)
+            monkeypatch.setattr(hm.HMAN, "forward_batch", recording)
+            report = ht.evaluate(model, samples, block_len=block_len)
+            got = hm.score_clips(model, clips, np.random.default_rng(0))
+            monkeypatch.undo()
+            chunks = expected_chunks(lengths, frames)
+            assert seen == chunks * 2 and [len(c) for c in chunks] == sizes
+            npt.assert_array_equal(report.confusion, expected)
+            npt.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_sampled_evaluation_repeats_and_draws_one_stream_per_chunk(self, small_dataset,
                                                                        monkeypatch):
@@ -343,31 +357,34 @@ class TestEvaluate:
         samples = train + test
         block_len, layers = 3, 2
         model = small_trainer(eval_z="sampled", layers=layers).model
-        seen = []  # (rng, B, T_max) of every forward
+        seen = []  # (rng, (B, T_max), lengths) of every forward
         original = hm.HMAN.forward_batch
 
         def recording(self, x, rng=None, *args, **kwargs):
-            seen.append((rng, x.shape[0], x.shape[1]))
+            seen.append((rng, x.shape[:2], kwargs["lengths"].tolist()))
             return original(self, x, rng, *args, **kwargs)
 
+        monkeypatch.setattr(hm, "EVAL_CHUNK_FRAMES", 100)
         monkeypatch.setattr(hm.HMAN, "forward_batch", recording)
         first = ht.evaluate(model, samples, block_len=block_len, with_ap=True)
         streams = {id(rng) for rng, _, _ in seen}
         rng = seen[0][0]
-        chunks = [(b, t) for _, b, t in seen]
+        chunks = [lengths for _, _, lengths in seen]
+        shapes = [shape for _, shape, _ in seen]
         second = ht.evaluate(model, samples, block_len=block_len, with_ap=True)
         monkeypatch.undo()
         npt.assert_array_equal(first.confusion, second.confusion)
         assert first.average_precision == second.average_precision
 
-        # chunks follow the blocks sorted by length, each as long as its longest block
-        lengths = sorted(len(b) for s in samples for b in ht.split_blocks(s.features, block_len))
-        step = hm.EVAL_CHUNK_ROWS
-        assert chunks == [(len(lengths[i:i + step]), lengths[i:i + step][-1])
-                          for i in range(0, len(lengths), step)]
+        # chunks follow the blocks sorted longest first, each padded to its first block
+        lengths = [len(b) for s in samples for b in ht.split_blocks(s.features, block_len)]
+        assert chunks == expected_chunks(lengths, 100) and len(chunks) > 1
+        assert shapes == [(len(c), c[0]) for c in chunks]
         assert len(streams) == 1
+        # step t of a chunk draws an (a, b) pair per layer for each of its n_t running rows
         expected = np.random.default_rng(hm.EVAL_NOISE_SEED)
-        expected.random(sum(t * 2 * layers * b for b, t in chunks))
+        running = [sum(n > t for n in c) for c in chunks for t in range(c[0])]
+        expected.random(sum(running) * 2 * layers)
         assert rng.bit_generator.state == expected.bit_generator.state
 
     def test_empty_split_gives_zero_confusion_and_nan_rates(self):
