@@ -1,7 +1,8 @@
 """Spatial attention over a K*K grid of feature vectors.
 
-Three mechanisms share the same scoring head (one weight row per grid
-location, scored against the previous first-layer hidden state):
+Every mechanism scores location k by the previous first-layer hidden state
+against row k of ``w_loc``, a rule written once, as :func:`_scores` and its
+adjoint :func:`_scores_adjoint`:
 
 * soft: convex mixture under a location softmax, fully differentiable,
   run as one tape op with a hand-written backward;
@@ -25,15 +26,6 @@ BASELINE_DECAY = 0.9
 
 
 @dataclass
-class AttentionParams:
-    """Location-score rows, plus the adaptive-temperature map when used."""
-
-    w_loc: Tensor                 # (K*K, d): one score row per location
-    w_temp: Tensor | None = None  # (d, 1)
-    b_temp: Tensor | None = None  # (1, 1)
-
-
-@dataclass
 class AttentionResult:
     """Weights over locations, the attended feature, and sampling metadata.
 
@@ -51,35 +43,47 @@ class AttentionResult:
     tau: np.ndarray | float | None = None
 
 
-def location_scores(h1_prev: Tensor, params: AttentionParams) -> Tensor:
-    return h1_prev @ ad.transpose(params.w_loc)
+def _scores(h1_prev: Tensor, w_loc: Tensor) -> np.ndarray:
+    """The (B, K*K) location scores h1_prev @ w_locᵀ."""
+    return h1_prev.data @ np.ascontiguousarray(w_loc.data.T)
 
 
-def soft_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams) -> AttentionResult:
+def _scores_adjoint(g: np.ndarray, h1_prev: Tensor, w_loc: Tensor) -> None:
+    """Accumulate the adjoint ``g`` of :func:`_scores` into the operands that need it."""
+    if h1_prev.requires_grad:
+        ad._accumulate(h1_prev, g @ w_loc.data)
+    if w_loc.requires_grad:
+        ad._accumulate(w_loc, (h1_prev.data.T @ g).T)
+
+
+def location_scores(h1_prev: Tensor, w_loc: Tensor) -> Tensor:
+    """The location scores of the (B, d) state against the (K*K, d) rows, as one tape op."""
+    if h1_prev.ndim != 2 or w_loc.ndim != 2 or h1_prev.shape[1] != w_loc.shape[1]:
+        raise ad.DimensionError(f"location score shapes incompatible: state {h1_prev.shape}, "
+                                f"score rows {w_loc.shape}")
+    return Tensor._from_op(_scores(h1_prev, w_loc), (h1_prev, w_loc),
+                           lambda g: _scores_adjoint(g, h1_prev, w_loc))
+
+
+def soft_attend(h1_prev: Tensor, features: Tensor, w_loc: Tensor) -> AttentionResult:
     """Location softmax of the previous layer-1 hidden state, then expectation.
 
-    ``h1_prev`` is (B, d), ``features`` is (B, K*K, D).  The scores, the
-    softmax and the mix run as one tape op that repeats the arithmetic
-    of ``location_scores`` and ``autodiff.attend_mix`` and calls the
-    kernels of ``autodiff.softmax``, in their order, so its values are
-    theirs bitwise.
+    ``h1_prev`` is (B, d), ``features`` is (B, K*K, D) and ``w_loc`` the
+    (K*K, d) score rows.  The scores, the softmax and the mix run as one
+    tape op that calls the score kernels and those of ``autodiff.softmax``
+    and repeats the arithmetic of ``autodiff.attend_mix``, in their order,
+    so its values are those of the op-by-op form bitwise.
     """
-    w_loc = params.w_loc
     if h1_prev.ndim != 2 or w_loc.ndim != 2 or features.ndim != 3 \
             or h1_prev.shape[1] != w_loc.shape[1] \
             or features.shape[:2] != (h1_prev.shape[0], w_loc.shape[0]):
         raise ad.DimensionError(f"soft attention shapes incompatible: state {h1_prev.shape}, "
                                 f"score rows {w_loc.shape}, features {features.shape}")
-    scores = h1_prev.data @ np.ascontiguousarray(w_loc.data.T)
-    weights = ad._softmax(scores, -1)
+    weights = ad._softmax(_scores(h1_prev, w_loc), -1)
 
     def backward_fn(g: np.ndarray) -> None:
         g_weights = np.einsum("bd,bkd->bk", g, features.data)
-        g_scores = ad._softmax_adjoint(weights, g_weights, -1)
-        if h1_prev.requires_grad:
-            ad._accumulate(h1_prev, g_scores @ w_loc.data)
-        if w_loc.requires_grad:
-            ad._accumulate(w_loc, (h1_prev.data.T @ g_scores).T)
+        _scores_adjoint(ad._softmax_adjoint(weights, g_weights, -1), h1_prev, w_loc)
         if features.requires_grad:
             ad._accumulate(features, np.einsum("bk,bd->bkd", weights, g))
 
@@ -88,7 +92,7 @@ def soft_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams) -> A
     return AttentionResult(weights=Tensor(weights), attended=attended)
 
 
-def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams,
+def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, w_loc: Tensor,
                        tau, noise: Tensor | None = None,
                        soft_sample: bool = False) -> AttentionResult:
     """One-hot location sample through Gumbel-softmax with straight-through.
@@ -99,7 +103,7 @@ def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParam
     ``soft_sample`` keeps the relaxed sample as the weights (gradient
     verification only).
     """
-    scores = location_scores(h1_prev, params)
+    scores = location_scores(h1_prev, w_loc)
     if noise is None:
         weights = Tensor(st._onehot(np.argmax(scores.data, axis=-1), scores.shape[-1]))
         return AttentionResult(weights=weights, attended=ad.attend_mix(weights, features))
@@ -110,7 +114,7 @@ def gumbel_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParam
     return AttentionResult(weights=weights, attended=attended, tau=tau_value)
 
 
-def reinforce_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionParams,
+def reinforce_hard_attend(h1_prev: Tensor, features: Tensor, w_loc: Tensor,
                           uniforms: np.ndarray | None = None) -> AttentionResult:
     """Sample a single location from the location softmax, by inverse CDF of
     the (B,) ``uniforms``; without them the argmax location (evaluation).
@@ -118,7 +122,7 @@ def reinforce_hard_attend(h1_prev: Tensor, features: Tensor, params: AttentionPa
     The selection itself carries no gradient; learning flows through the
     recorded ``log_prob`` via the score-function surrogate.
     """
-    alpha = ad.softmax(location_scores(h1_prev, params), axis=-1)
+    alpha = ad.softmax(location_scores(h1_prev, w_loc), axis=-1)
     idx = np.argmax(alpha.data, axis=-1) if uniforms is None else _sample_rows(alpha.data, uniforms)
     weights = Tensor(st._onehot(idx, alpha.shape[-1]))
     attended = ad.attend_mix(weights, features)

@@ -305,6 +305,8 @@ def cmd_eval(args) -> int:
 
 def cmd_viz(args) -> int:
     opts = _resolve(args, VIZ_OPTS, required=("checkpoint", "data", "out"))
+    if opts["tolerance"] < 0:
+        raise field_error("tolerance", "non-negative", opts["tolerance"])
     model = hm.HMAN.load(opts["checkpoint"])
     manifest, samples = hd.load_dataset(Path(opts["data"]) / "manifest.json")
     if opts["sample"]:

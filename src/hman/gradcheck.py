@@ -206,16 +206,34 @@ def _check_soft_attention(rng):
     from . import attention as at
 
     k2, d, feat = 4, 3, 5
-    params = at.AttentionParams(w_loc=Tensor(rng.normal(size=(k2, d)), requires_grad=True))
+    w_loc = Tensor(rng.normal(size=(k2, d)), requires_grad=True)
     h = Tensor(rng.normal(size=(2, d)), requires_grad=True)
     x = Tensor(rng.normal(size=(2, k2, feat)))
     v = Tensor(rng.normal(size=(2, feat)))
 
     def build():
-        res = at.soft_attend(h, x, params)
+        res = at.soft_attend(h, x, w_loc)
         return ad.sum_(res.attended * v)
 
-    return build, [params.w_loc, h]
+    return build, [w_loc, h]
+
+
+@register("reinforce-log-prob")
+def _check_reinforce_log_prob(rng):
+    from . import attention as at
+
+    k2, d, feat, batch = 4, 3, 5, 3
+    w_loc = Tensor(rng.normal(size=(k2, d)), requires_grad=True)
+    h = Tensor(rng.normal(size=(batch, d)), requires_grad=True)
+    x = Tensor(rng.normal(size=(batch, k2, feat)))
+    uniforms = rng.random(batch)
+
+    def build():
+        # the score-function path: scores, softmax, the sampled row's probability, its log
+        res = at.reinforce_hard_attend(h, x, w_loc, uniforms=uniforms)
+        return ad.sum_(res.log_prob)
+
+    return build, [w_loc, h]
 
 
 @register("sequence-head")

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import cell as hc
 from . import stochastic as stu
 from .autodiff import ContractError, Tensor
-from .errors import ConfigError, FormatError, field_error
+from .errors import ConfigError, FormatError, field_error, require_ints
 
 ATTENTION_MODES = ("soft", "reinforce", "gumbel-constant", "gumbel-adaptive")
 EVAL_Z_MODES = ("deterministic", "sampled")
@@ -63,12 +63,11 @@ class ModelConfig:
     force_z: float | None = None
 
     def validate(self) -> None:
+        require_ints(self, ("layers", "hidden", "grid_side", "feat_dim", "classes"))
         if self.layers < 2 and self.force_z is None:
             raise ConfigError("the hierarchy needs at least 2 layers (or a forced boundary bit)")
         if self.layers < 1:
             raise ConfigError("layers must be positive")
-        if not isinstance(self.hidden, (int, np.integer)):
-            raise ConfigError(f"hidden must be one int size for every layer, got {self.hidden!r}")
         if min(self.hidden, self.grid_side, self.feat_dim) < 1 or self.classes < 2:
             raise ConfigError("hidden/grid_side/feat_dim must be positive and classes >= 2")
         if self.attention not in ATTENTION_MODES:
@@ -124,11 +123,6 @@ class HMAN:
         if cfg.attention == "gumbel-adaptive":
             self.params["attn.w_temp"] = uniform(cfg.hidden, 1, cfg.hidden)
             self.params["attn.b_temp"] = Tensor(np.zeros((1, 1)), requires_grad=True)
-        self._attention_params = at.AttentionParams(
-            w_loc=self.params["attn.w_loc"],
-            w_temp=self.params.get("attn.w_temp"),
-            b_temp=self.params.get("attn.b_temp"),
-        )
         self._layer_params: list[hc.LayerParams] = []
         for layer in range(1, cfg.layers + 1):
             below = cfg.feat_dim if layer == 1 else cfg.hidden
@@ -150,10 +144,6 @@ class HMAN:
         """Layer ``layer``'s (1-based) weights: the tensors in ``params``, built once."""
         return self._layer_params[layer - 1]
 
-    def attention_params(self) -> at.AttentionParams:
-        """The attention weights: the tensors in ``params``, built once."""
-        return self._attention_params
-
     def zero_grad(self) -> None:
         ad.zero_grad(self.params.values())
 
@@ -163,20 +153,20 @@ class HMAN:
                 soft_attention_sample: bool) -> at.AttentionResult:
         """One step's attention; hard attention samples from ``rng`` only in training."""
         cfg = self.config
-        ap = self.attention_params()
+        w_loc = self.params["attn.w_loc"]
         batch = h1_prev.shape[0]
         if cfg.attention == "soft":
-            return at.soft_attend(h1_prev, feats, ap)
+            return at.soft_attend(h1_prev, feats, w_loc)
         if cfg.attention == "reinforce":
-            return at.reinforce_hard_attend(h1_prev, feats, ap,
+            return at.reinforce_hard_attend(h1_prev, feats, w_loc,
                                             uniforms=rng.random(batch) if train else None)
         if not train:
-            return at.gumbel_hard_attend(h1_prev, feats, ap, None)
+            return at.gumbel_hard_attend(h1_prev, feats, w_loc, None)
         if cfg.attention == "gumbel-constant":
             tau = cfg.attention_tau
         else:
-            tau = stu.adaptive_tau(h1_prev, ap.w_temp, ap.b_temp)
-        return at.gumbel_hard_attend(h1_prev, feats, ap, tau,
+            tau = stu.adaptive_tau(h1_prev, self.params["attn.w_temp"], self.params["attn.b_temp"])
+        return at.gumbel_hard_attend(h1_prev, feats, w_loc, tau,
                                      noise=stu.sample_gumbel((batch, cfg.locations), rng),
                                      soft_sample=soft_attention_sample)
 

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import model as hm
 from .autodiff import Tensor
 from .data import VideoSample
-from .errors import ConfigError, TrainingAbort, field_error
+from .errors import ConfigError, TrainingAbort, field_error, require_ints
 
 # Adam's moment decays and denominator floor (Kingma and Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -46,6 +46,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        require_ints(self, ("batch_size", "window", "epochs", "lr_drop_after", "seed"))
         for name in ("lr", "lr_drop", "clip_norm"):
             if not 0 < getattr(self, name) < math.inf:
                 raise field_error(name, "positive and finite", getattr(self, name))

@@ -119,9 +119,11 @@ class TestCriterion1GradientSuite:
         elapsed = time.time() - started
         worst = max(r.worst_rel_err for r in results)
         names = {r.name for r in results}
-        # the suite must cover attention, relaxed stochastic units, every
-        # cell operation mode, the full model, and the adaptive temperature
-        for needed in ("soft-attention", "gumbel-softmax-soft", "gumbel-sigmoid-soft",
+        # the suite must cover attention (soft and the score-function path),
+        # relaxed stochastic units, every cell operation mode, the full
+        # model, and the adaptive temperature
+        for needed in ("soft-attention", "reinforce-log-prob", "gumbel-softmax-soft",
+                       "gumbel-sigmoid-soft",
                        "cell-update", "cell-copy", "cell-flush", "cell-two-steps",
                        "model-2layer-3steps", "adaptive-temperature"):
             assert needed in names

@@ -14,47 +14,79 @@ K2, D = 4, 5
 
 
 def make_instance(rng, batch=2, d=3):
-    params = at.AttentionParams(w_loc=Tensor(rng.normal(size=(K2, d)), requires_grad=True))
+    w_loc = Tensor(rng.normal(size=(K2, d)), requires_grad=True)
     h = Tensor(rng.normal(size=(batch, d)), requires_grad=True)
     x = Tensor(rng.normal(size=(batch, K2, D)))
-    return params, h, x
+    return w_loc, h, x
 
 
 def scored_instance(scores_row, features):
-    """Build params/h so the location scores equal ``scores_row`` exactly."""
-    params = at.AttentionParams(w_loc=Tensor(np.asarray(scores_row, dtype=float)[:, None]))
+    """Build w_loc/h so the location scores equal ``scores_row`` exactly."""
+    w_loc = Tensor(np.asarray(scores_row, dtype=float)[:, None])
     h = Tensor([[1.0]])
-    return params, h, Tensor(np.asarray(features, dtype=float)[None])
+    return w_loc, h, Tensor(np.asarray(features, dtype=float)[None])
+
+
+class TestLocationScores:
+    """The score op against its op-by-op form h @ transpose(w_loc)."""
+
+    def test_values_bitwise_and_gradients_within_1e12(self):
+        rng = np.random.default_rng(28)
+        w_loc, h, _ = make_instance(rng, batch=6, d=5)
+        g = rng.normal(size=(6, K2))
+
+        def run(scores):
+            ad.zero_grad([w_loc, h])
+            out = scores()
+            ad.backward(ad.sum_(out * Tensor(g)))
+            return out.data.copy(), w_loc.grad.copy(), h.grad.copy()
+
+        got, *got_grads = run(lambda: at.location_scores(h, w_loc))
+        want, *want_grads = run(lambda: h @ ad.transpose(w_loc))
+        assert np.array_equal(got, want)
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            scale = float(np.max(np.abs(want_grad)))
+            assert scale > 0 and float(np.max(np.abs(got_grad - want_grad))) <= 1e-12 * scale
+
+    def test_records_one_tape_node(self):
+        w_loc, h, _ = make_instance(np.random.default_rng(29))
+        scores = at.location_scores(h, w_loc)
+        assert [n for n in ad.Tape(scores).nodes if n._parents] == [scores]
+
+    def test_shape_mismatch_is_dimension_error(self):
+        w_loc, h, _ = make_instance(np.random.default_rng(29))
+        with pytest.raises(ad.DimensionError, match="location score"):
+            at.location_scores(Tensor(h.data[:, :-1]), w_loc)
 
 
 class TestSoftAttend:
     def test_equal_scores_give_uniform_mix(self):
-        params, h, x = scored_instance([2.0] * K2, np.arange(K2 * D).reshape(K2, D))
-        res = at.soft_attend(h, x, params)
+        w_loc, h, x = scored_instance([2.0] * K2, np.arange(K2 * D).reshape(K2, D))
+        res = at.soft_attend(h, x, w_loc)
         npt.assert_allclose(res.weights.data, 1.0 / K2, atol=1e-15)
         npt.assert_allclose(res.attended.data[0], x.data[0].mean(axis=0), atol=1e-12)
 
     def test_saturated_score_selects_that_location(self):
         feats = np.arange(K2 * D, dtype=float).reshape(K2, D)
-        params, h, x = scored_instance([0.0, 50.0, 0.0, 0.0], feats)
-        res = at.soft_attend(h, x, params)
+        w_loc, h, x = scored_instance([0.0, 50.0, 0.0, 0.0], feats)
+        res = at.soft_attend(h, x, w_loc)
         npt.assert_allclose(res.attended.data[0], feats[1], atol=1e-15)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(30)
-        params, h, x = make_instance(rng)
+        w_loc, h, x = make_instance(rng)
         v = Tensor(rng.normal(size=(2, D)))
 
         def build():
-            return ad.sum_(at.soft_attend(h, x, params).attended * v)
+            return ad.sum_(at.soft_attend(h, x, w_loc).attended * v)
 
-        assert check_gradients(build, [params.w_loc, h]) < 1e-6
+        assert check_gradients(build, [w_loc, h]) < 1e-6
 
     def test_weights_always_sum_to_one(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            params, h, x = make_instance(rng, batch=3)
-            w = at.soft_attend(h, x, params).weights.data
+            w_loc, h, x = make_instance(rng, batch=3)
+            w = at.soft_attend(h, x, w_loc).weights.data
             assert np.all(w >= 0)
             npt.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -64,10 +96,10 @@ class TestFusedSoftAttention:
 
     def test_values_bitwise_and_gradients_within_1e12(self):
         rng = np.random.default_rng(33)
-        params, h, _ = make_instance(rng, batch=5, d=3)
+        w_loc, h, _ = make_instance(rng, batch=5, d=3)
         x = Tensor(rng.normal(size=(5, K2, D)), requires_grad=True)
         v = Tensor(rng.normal(size=(5, D)))
-        leaves = {"w_loc": params.w_loc, "h": h, "features": x}
+        leaves = {"w_loc": w_loc, "h": h, "features": x}
 
         def run(attend):
             ad.zero_grad(leaves.values())
@@ -77,11 +109,11 @@ class TestFusedSoftAttention:
                 {name: t.grad.copy() for name, t in leaves.items()}
 
         def fused():
-            res = at.soft_attend(h, x, params)
+            res = at.soft_attend(h, x, w_loc)
             return res.weights, res.attended
 
         def op_by_op():
-            weights = ad.softmax(at.location_scores(h, params), axis=-1)
+            weights = ad.softmax(at.location_scores(h, w_loc), axis=-1)
             return weights, ad.attend_mix(weights, x)
 
         got_w, got_a, got_grads = run(fused)
@@ -93,32 +125,32 @@ class TestFusedSoftAttention:
 
     def test_records_one_tape_node(self):
         rng = np.random.default_rng(34)
-        params, h, x = make_instance(rng)
-        attended = at.soft_attend(h, x, params).attended
+        w_loc, h, x = make_instance(rng)
+        attended = at.soft_attend(h, x, w_loc).attended
         assert [n for n in ad.Tape(attended).nodes if n._parents] == [attended]
 
     def test_shape_mismatch_is_dimension_error(self):
         rng = np.random.default_rng(35)
-        params, h, x = make_instance(rng)
+        w_loc, h, x = make_instance(rng)
         with pytest.raises(ad.DimensionError, match="soft attention"):
-            at.soft_attend(h, Tensor(x.data[:, :-1]), params)
+            at.soft_attend(h, Tensor(x.data[:, :-1]), w_loc)
         with pytest.raises(ad.DimensionError, match="soft attention"):
-            at.soft_attend(Tensor(h.data[:, :-1]), x, params)
+            at.soft_attend(Tensor(h.data[:, :-1]), x, w_loc)
 
 
 class TestGumbelHardAttend:
     def test_zero_noise_selects_argmax(self):
         feats = np.arange(K2 * D, dtype=float).reshape(K2, D)
-        params, h, x = scored_instance([5.0, 0.0, 0.0, 0.0], feats)
+        w_loc, h, x = scored_instance([5.0, 0.0, 0.0, 0.0], feats)
         noise = Tensor(np.zeros((1, K2)))
-        res = at.gumbel_hard_attend(h, x, params, 0.3, noise=noise)
+        res = at.gumbel_hard_attend(h, x, w_loc, 0.3, noise=noise)
         npt.assert_array_equal(res.weights.data, [[1.0, 0.0, 0.0, 0.0]])
         npt.assert_allclose(res.attended.data[0], feats[0], atol=1e-15)
 
     def test_weights_exactly_one_hot(self):
         rng = np.random.default_rng(32)
-        params, h, x = make_instance(rng, batch=6)
-        res = at.gumbel_hard_attend(h, x, params, 0.3, noise=st.sample_gumbel((6, K2), rng))
+        w_loc, h, x = make_instance(rng, batch=6)
+        res = at.gumbel_hard_attend(h, x, w_loc, 0.3, noise=st.sample_gumbel((6, K2), rng))
         w = res.weights.data
         assert np.all(np.sum(w == 1.0, axis=-1) == 1)
         assert np.all(np.sum(w == 0.0, axis=-1) == K2 - 1)
@@ -126,16 +158,15 @@ class TestGumbelHardAttend:
     def test_adaptive_temperature_stays_in_unit_interval(self):
         rng = np.random.default_rng(33)
         d = 3
-        params = at.AttentionParams(
-            w_loc=Tensor(rng.normal(size=(K2, d))),
-            w_temp=Tensor(rng.normal(scale=5.0, size=(d, 1))),
-            b_temp=Tensor(rng.normal(size=(1, 1))))
+        w_loc = Tensor(rng.normal(size=(K2, d)))
+        w_temp = Tensor(rng.normal(scale=5.0, size=(d, 1)))
+        b_temp = Tensor(rng.normal(size=(1, 1)))
         for _ in range(10):
             h = Tensor(rng.normal(scale=3.0, size=(2, d)))
-            tau = st.adaptive_tau(h, params.w_temp, params.b_temp)
+            tau = st.adaptive_tau(h, w_temp, b_temp)
             assert np.all(tau.data > 0) and np.all(tau.data <= 1.0)
             x = Tensor(rng.normal(size=(2, K2, D)))
-            res = at.gumbel_hard_attend(h, x, params, tau, noise=st.sample_gumbel((2, K2), rng))
+            res = at.gumbel_hard_attend(h, x, w_loc, tau, noise=st.sample_gumbel((2, K2), rng))
             assert np.all(np.isin(res.weights.data, (0.0, 1.0)))
 
     def test_selection_frequencies_match_location_softmax(self):
@@ -143,18 +174,18 @@ class TestGumbelHardAttend:
         rng = np.random.default_rng(34)
         n = 100_000
         scores = np.array([1.5, 0.0, -1.0, 0.5])
-        params = at.AttentionParams(w_loc=Tensor(scores[:, None]))
+        w_loc = Tensor(scores[:, None])
         h = Tensor(np.ones((n, 1)))
         x = Tensor(np.zeros((n, K2, 1)))
-        res = at.gumbel_hard_attend(h, x, params, 0.5, noise=st.sample_gumbel((n, K2), rng))
+        res = at.gumbel_hard_attend(h, x, w_loc, 0.5, noise=st.sample_gumbel((n, K2), rng))
         freq = np.bincount(np.argmax(res.weights.data, axis=-1), minlength=K2) / n
         expected = np.exp(scores) / np.exp(scores).sum()
         npt.assert_allclose(freq, expected, atol=0.01)
 
     def test_deterministic_mode_takes_argmax(self):
         feats = np.arange(K2 * D, dtype=float).reshape(K2, D)
-        params, h, x = scored_instance([0.0, 0.0, 3.0, 0.0], feats)
-        res = at.gumbel_hard_attend(h, x, params, 0.3)
+        w_loc, h, x = scored_instance([0.0, 0.0, 3.0, 0.0], feats)
+        res = at.gumbel_hard_attend(h, x, w_loc, 0.3)
         npt.assert_array_equal(res.weights.data, [[0.0, 0.0, 1.0, 0.0]])
         npt.assert_allclose(res.attended.data[0], feats[2], atol=1e-15)
 
@@ -167,12 +198,12 @@ class TestGumbelHardAttend:
         v = Tensor(rng.normal(size=(2, D)))
 
         def grad_through(soft_sample: bool) -> np.ndarray:
-            params = at.AttentionParams(w_loc=Tensor(w_init.copy(), requires_grad=True))
+            w_loc = Tensor(w_init.copy(), requires_grad=True)
             h = Tensor(h_value.copy())
-            res = at.gumbel_hard_attend(h, x, params, 0.4, noise=noise,
+            res = at.gumbel_hard_attend(h, x, w_loc, 0.4, noise=noise,
                                         soft_sample=soft_sample)
             ad.backward(ad.sum_(res.attended * v))
-            return params.w_loc.grad
+            return w_loc.grad
 
         npt.assert_array_equal(grad_through(False), grad_through(True))
 
@@ -180,10 +211,10 @@ class TestGumbelHardAttend:
 class TestReinforceHardAttend:
     def test_degenerate_distribution_always_selects_it(self):
         feats = np.arange(K2 * D, dtype=float).reshape(K2, D)
-        params, h, x = scored_instance([50.0, 0.0, 0.0, 0.0], feats)
+        w_loc, h, x = scored_instance([50.0, 0.0, 0.0, 0.0], feats)
         rng = np.random.default_rng(36)
         for _ in range(10):
-            res = at.reinforce_hard_attend(h, x, params, uniforms=rng.random(1))
+            res = at.reinforce_hard_attend(h, x, w_loc, uniforms=rng.random(1))
             npt.assert_array_equal(res.weights.data, [[1.0, 0.0, 0.0, 0.0]])
             assert res.log_prob.data[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -191,35 +222,35 @@ class TestReinforceHardAttend:
         rng = np.random.default_rng(37)
         n = 100_000
         scores = np.array([0.5, -0.5, 1.0, 0.0])
-        params = at.AttentionParams(w_loc=Tensor(scores[:, None]))
+        w_loc = Tensor(scores[:, None])
         h = Tensor(np.ones((n, 1)))
         x = Tensor(np.zeros((n, K2, 1)))
-        res = at.reinforce_hard_attend(h, x, params, uniforms=rng.random(n))
+        res = at.reinforce_hard_attend(h, x, w_loc, uniforms=rng.random(n))
         freq = np.bincount(np.argmax(res.weights.data, axis=-1), minlength=K2) / n
         expected = np.exp(scores) / np.exp(scores).sum()
         npt.assert_allclose(freq, expected, atol=0.01)
 
     def test_evaluation_takes_argmax(self):
-        params, h, x = scored_instance([np.log(0.4), np.log(0.6)],
-                                       np.arange(2 * D, dtype=float).reshape(2, D))
-        res = at.reinforce_hard_attend(h, x, params)
+        w_loc, h, x = scored_instance([np.log(0.4), np.log(0.6)],
+                                      np.arange(2 * D, dtype=float).reshape(2, D))
+        res = at.reinforce_hard_attend(h, x, w_loc)
         npt.assert_array_equal(res.weights.data, [[0.0, 1.0]])
 
     def test_selection_carries_no_gradient(self):
         rng = np.random.default_rng(38)
-        params, h, x = make_instance(rng)
+        w_loc, h, x = make_instance(rng)
         x.requires_grad = True  # gives the loss a path that bypasses the scores
-        res = at.reinforce_hard_attend(h, x, params, uniforms=rng.random(2))
+        res = at.reinforce_hard_attend(h, x, w_loc, uniforms=rng.random(2))
         ad.backward(ad.sum_(res.attended))
         # attended = onehot-const . features: nothing reaches the score weights
-        assert params.w_loc.grad is None or not np.any(params.w_loc.grad)
+        assert w_loc.grad is None or not np.any(w_loc.grad)
 
     def test_log_prob_does_carry_gradient(self):
         rng = np.random.default_rng(39)
-        params, h, x = make_instance(rng)
-        res = at.reinforce_hard_attend(h, x, params, uniforms=rng.random(2))
+        w_loc, h, x = make_instance(rng)
+        res = at.reinforce_hard_attend(h, x, w_loc, uniforms=rng.random(2))
         ad.backward(ad.sum_(res.log_prob))
-        assert np.any(params.w_loc.grad)
+        assert np.any(w_loc.grad)
 
 
 class TestReinforceSurrogate:

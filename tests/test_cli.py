@@ -367,6 +367,16 @@ class TestViz:
                        "--data", dataset, "--out", tmp_path / "v",
                        "--sample", "missing") == 1
 
+    def test_negative_tolerance_exits_one_naming_the_flag(self, dataset, trained, tmp_path,
+                                                          capsys):
+        # a negative tolerance matches no boundary, so every F1 would read 0
+        out = tmp_path / "v"
+        assert run_cli("viz", "--checkpoint", trained / "ckpt_epoch_002.hman",
+                       "--data", dataset, "--out", out, "--tolerance", -1) == 1
+        captured = capsys.readouterr()
+        assert "tolerance (--tolerance) must be non-negative, got -1" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestSampledEvaluation:
     def test_train_eval_and_viz_run_with_sampled_boundaries(self, dataset, tmp_path, capsys):

@@ -22,11 +22,14 @@ BENCH = ROOT / "hmanbench"
 # Unused by the program and kept on purpose.
 ALLOWED: set[tuple[str, str]] = set()
 
-# Spellings of the rules that the fused ops share with the autodiff
-# primitives; each may appear only in the autodiff kernel that owns it.
+# Spellings of the rules that the fused ops share with the tape primitives;
+# each may appear only in the (module, kernel) that owns it.
 KERNEL_SPELLINGS = {
-    "_sigmoid": re.compile(r"tanh\(\s*0?\.5\s*\*|1\.?0?\s*/\s*\(\s*1\.?0?\s*\+\s*np\.exp\(\s*-"),
-    "_softmax": re.compile(r"-\s*(np\.a?max\(|[A-Za-z_][\w.]*\.max\()"),
+    ("autodiff", "_sigmoid"):
+        re.compile(r"tanh\(\s*0?\.5\s*\*|1\.?0?\s*/\s*\(\s*1\.?0?\s*\+\s*np\.exp\(\s*-"),
+    ("autodiff", "_softmax"): re.compile(r"-\s*(np\.a?max\(|[A-Za-z_][\w.]*\.max\()"),
+    # the location scores h1_prev @ w_locᵀ
+    ("attention", "_scores"): re.compile(r"@\s*np\.ascontiguousarray\(\s*[\w.]+\.T\s*\)"),
 }
 
 
@@ -83,12 +86,12 @@ def _enclosing_function(tree: ast.Module, line: int) -> str | None:
 
 
 def test_shared_rules_are_spelled_only_in_their_kernels():
-    spelled = {kernel: [] for kernel in KERNEL_SPELLINGS}
+    spelled = {owner: [] for owner in KERNEL_SPELLINGS}
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text)
         for number, line in enumerate(text.splitlines(), 1):
-            for kernel, spelling in KERNEL_SPELLINGS.items():
+            for owner, spelling in KERNEL_SPELLINGS.items():
                 if spelling.search(line):
-                    spelled[kernel].append((path.stem, _enclosing_function(tree, number)))
-    assert spelled == {kernel: [("autodiff", kernel)] for kernel in KERNEL_SPELLINGS}
+                    spelled[owner].append((path.stem, _enclosing_function(tree, number)))
+    assert spelled == {owner: [owner] for owner in KERNEL_SPELLINGS}

@@ -770,9 +770,9 @@ class TestCheckpoint:
             assert np.array_equal(pa, pb)
 
     def test_reloaded_model_reads_the_loaded_tensors(self, tmp_path):
-        # the per-layer and attention parameter objects are built once; a
-        # load writes each tensor's data in place, so they must still be
-        # the very tensors in ``params``
+        # the per-layer parameter objects are built once; a load writes
+        # each tensor's data in place, so they must still be the very
+        # tensors in ``params``
         model = tiny_model(13, attention="gumbel-adaptive", layers=3)
         path = tmp_path / "model.hman"
         model.save(path)
@@ -787,11 +787,6 @@ class TestCheckpoint:
             else:
                 assert lp.u_top is None
             assert np.array_equal(lp.u_rec.data, model.params[f"layer{layer}.u_rec"].data)
-        ap = loaded.attention_params()
-        assert ap.w_loc is loaded.params["attn.w_loc"]
-        assert ap.w_temp is loaded.params["attn.w_temp"]
-        assert ap.b_temp is loaded.params["attn.b_temp"]
-        assert np.array_equal(ap.w_loc.data, model.params["attn.w_loc"].data)
 
     def test_truncated_file_reports_position(self, tmp_path):
         path = tmp_path / "model.hman"
@@ -846,6 +841,17 @@ class TestConfigValidation:
     def test_bad_eval_z(self):
         with pytest.raises(ConfigError, match="eval_z"):
             tiny_config(eval_z="noisy").validate()
+
+    @pytest.mark.parametrize("name, value", [("layers", 2.5), ("grid_side", 2.5),
+                                             ("feat_dim", 3.0), ("classes", 2.5),
+                                             ("hidden", True)])
+    def test_integer_field_takes_no_float_or_bool(self, name, value):
+        with pytest.raises(ConfigError, match=rf"{name} \(--{name.replace('_', '-')}\) "
+                                              "must be an int"):
+            hm.HMAN(tiny_config(**{name: value}))
+
+    def test_numpy_integers_are_ints(self):
+        assert hm.HMAN(tiny_config(layers=np.int32(2), hidden=np.int64(5))).params
 
     def test_literal_hidden_rule_changes_outputs(self):
         rng = np.random.default_rng(17)

@@ -62,6 +62,16 @@ class TestSchedule:
         assert ht.learning_rate(cfg, 10_001) == pytest.approx(1e-5)
 
 
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("name, value", [("batch_size", 2.5), ("window", 2.5),
+                                             ("epochs", 1.5), ("lr_drop_after", 1.5),
+                                             ("seed", 0.5), ("batch_size", True)])
+    def test_integer_field_takes_no_float_or_bool(self, name, value):
+        with pytest.raises(ConfigError, match=rf"{name} \(--{name.replace('_', '-')}\) "
+                                              "must be an int"):
+            ht.TrainConfig(**{name: value}).validate()
+
+
 class TestClipping:
     def test_large_gradient_scaled_to_clip_norm_preserving_direction(self):
         rng = np.random.default_rng(50)
