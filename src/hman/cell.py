@@ -51,18 +51,27 @@ logistic is ``autodiff._sigmoid``) and keeps the op-by-op order of the rest
 of its element-wise arithmetic, so forward values are bitwise those of
 composing the primitives.
 
-A step that records no tape (under ``autodiff.no_grad``, or when no parent
-requires grad) on a layer of at least ``LIVE_ROWS_MIN_HIDDEN`` units
-computes only what the forward reads, turning skipped updates into skipped
-computation as Skip RNN does (Campos et al., arXiv 1708.06834).  Where
-fewer than half of the rows UPDATE or FLUSH, ``_preactivation`` runs
-h_prev@U_rec on those rows and only the boundary column on the COPY rows,
-and ``_state`` runs its arithmetic on those rows and carries c and h of
-the COPY rows over.  The bottom-up and top-down products skip the rows
-whose masked input is zero, where those are more than half.  A product over
-gathered rows or one column can round differently from the full product,
-so these values agree with the taped ones to rounding; COPY rows stay
-bitwise carry-over, and a step that records a tape runs the full products.
+A step on a layer of at least ``LIVE_ROWS_MIN_HIDDEN`` units skips the
+work of COPY rows, turning skipped updates into skipped computation as
+Skip RNN does (Campos et al., arXiv 1708.06834).  Its bottom-up and
+top-down products skip the rows whose masked input is zero, where those
+are more than half.  Where fewer than half of the rows UPDATE or FLUSH:
+
+* a step that records no tape (under ``autodiff.no_grad``, or when no
+  parent requires grad) computes only what the forward reads:
+  ``_preactivation`` runs h_prev@U_rec on those rows and only the boundary
+  column on the COPY rows, and ``_state`` runs its arithmetic on those
+  rows and carries c and h of the COPY rows over;
+* a step that records a tape runs the full recurrent product and
+  ``_state`` on every row, and the backward of ``_preactivation`` runs its
+  GEMMs on those rows only.  A COPY row's adjoint of s is zero outside the
+  boundary column, so its input adjoints are rank-1 products with that
+  column, and it adds to the boundary column of U_rec's gradient only.
+
+A product over gathered rows or one column can round differently from the
+full product, so on such a layer values and gradients agree with the dense
+form to rounding, and training moves by rounding; COPY rows stay bitwise
+carry-over.  A narrower layer runs the dense form.
 """
 
 from __future__ import annotations
@@ -152,13 +161,26 @@ def _require_binary(z: Tensor, what: str) -> None:
         raise ContractError(f"{what} must be exactly 0/1, got values like {d.ravel()[:4]}")
 
 
-def _masked_matmul_grads(g: np.ndarray, z: Tensor, v: Tensor, w: Tensor,
-                         masked: np.ndarray) -> None:
-    """Adjoints of (z*v)@w, given ``masked`` = z*v and the output adjoint g;
+def _row_adjoint(g: np.ndarray, w: np.ndarray, live: np.ndarray | None,
+                 g_live: np.ndarray) -> np.ndarray:
+    """g @ w.T, given that g is zero outside its last column on the rows not in
+    ``live`` (None: every row is live), and ``g_live`` = g[live]: a GEMM on the
+    live rows and a rank-1 product on the rest."""
+    if live is None:
+        return g @ w.T
+    out = g[:, -1:] * w[:, -1]
+    out[live] = g_live @ w.T
+    return out
+
+
+def _masked_matmul_grads(g: np.ndarray, live: np.ndarray | None, g_live: np.ndarray,
+                         z: Tensor, v: Tensor, w: Tensor, masked: np.ndarray) -> None:
+    """Adjoints of (z*v)@w, given ``masked`` = z*v, the output adjoint g and its
+    live rows (see :func:`_row_adjoint`), outside which ``masked`` is zero;
     w's is deferred to the replay's sum (``autodiff._defer``)."""
-    ad._defer(w, masked, g)
+    ad._defer(w, masked if live is None else masked[live], g_live)
     if v.requires_grad or z.requires_grad:
-        g_masked = g @ w.data.T
+        g_masked = _row_adjoint(g, w.data, live, g_live)
         if v.requires_grad:
             ad._accumulate(v, ad._unbroadcast(g_masked * z.data, v.shape))
         if z.requires_grad:
@@ -166,12 +188,20 @@ def _masked_matmul_grads(g: np.ndarray, z: Tensor, v: Tensor, w: Tensor,
                 (g_masked * v.data).sum(axis=-1, keepdims=True), z.shape))
 
 
-# Narrowest layer whose tape-free step skips the rows it does not read.
-# Below it the row bookkeeping (a few small numpy calls per product) costs
-# more than the skipped products save.  Per pre-activation of a middle layer
-# at B=16 with three rows in four COPYing, one core of a 2-core Xeon: 50.6 ->
-# 62.6 us at hidden 48, 78.5 -> 69.4 us at hidden 64.  With every row
-# COPYing it pays from hidden 24; with none it adds 2-5 us at any width.
+# Narrowest layer whose step skips the work of COPY rows, with a tape or
+# without.  Below it the row bookkeeping (a few small numpy calls per
+# product) costs more than the skipped products save.  On one core of a
+# 2-core Xeon:
+# - without a tape, per pre-activation of a middle layer at B=16 with three
+#   rows in four COPYing: 50.6 -> 62.6 us at hidden 48, 78.5 -> 69.4 us at
+#   hidden 64.  With every row COPYing it pays from hidden 24; with none it
+#   adds 2-5 us at any width;
+# - with a tape, per step of a middle layer, forward and backward, at B=32
+#   with lower bits at 0.27 and its own at 0.074 (train-wide's layer 2):
+#   432 -> 418 us at hidden 32, 572 -> 487 us at 48, 753 -> 597 us at 64 and
+#   1742 -> 1267 us at 128.  With every row live it costs what the dense
+#   form does.
+# The taped step alone would pay from hidden 32; the tape-free one sets 64.
 LIVE_ROWS_MIN_HIDDEN = 64
 
 
@@ -189,6 +219,19 @@ def _add_row_products(out: np.ndarray, x: np.ndarray, w: np.ndarray, z: np.ndarr
         out += x @ w
     elif len(rows):
         out[rows] += x[rows] @ w
+
+
+def _add_input_products(data: np.ndarray, below_in: np.ndarray, below_z: np.ndarray,
+                        above_in: np.ndarray | None, z_prev: np.ndarray,
+                        params: LayerParams) -> np.ndarray:
+    """data + (z_below*h_below)@W_bot + bias (+ (z_prev*h_above)@U_top), added in
+    place in that order, each product on the rows where its masked input is
+    not zero (:func:`_add_row_products`)."""
+    _add_row_products(data, below_in, params.w_bot.data, below_z)
+    data += params.bias.data
+    if above_in is not None:
+        _add_row_products(data, above_in, params.u_top.data, z_prev)
+    return data
 
 
 def _live_rows_preactivation(h_prev: np.ndarray, z_prev: np.ndarray, below_in: np.ndarray,
@@ -213,22 +256,25 @@ def _live_rows_preactivation(h_prev: np.ndarray, z_prev: np.ndarray, below_in: n
         data[:, -1] = h_prev @ u_rec[:, -1]
         if len(live):
             data[live] = h_prev[live] @ u_rec
-    _add_row_products(data, below_in, params.w_bot.data, below_z)
-    data += params.bias.data
-    if above_in is not None:
-        _add_row_products(data, above_in, params.u_top.data, z_prev)
-    return data
+    return _add_input_products(data, below_in, below_z, above_in, z_prev, params)
 
 
 def _preactivation(prev: LayerState, below_h: Tensor, below_z: Tensor,
                    above_h: Tensor | None, params: LayerParams) -> Tensor:
     """The stacked (B, 4*hidden+1) pre-activation s as one tape op.
 
-    When the op records no tape node (under ``no_grad``, or when no parent
-    requires grad) and the layer has at least ``LIVE_ROWS_MIN_HIDDEN``
-    units, s is :func:`_live_rows_preactivation`, a plain tensor that
+    On a layer of at least ``LIVE_ROWS_MIN_HIDDEN`` units, when the op
+    records no tape node (under ``no_grad``, or when no parent requires
+    grad), s is :func:`_live_rows_preactivation`, a plain tensor that
     agrees with the full products to rounding on every column the step
-    reads.  Otherwise it is the full sum, recorded with a backward.
+    reads.  When it records one, the bottom-up and top-down products skip
+    the rows whose masked input is zero, and where :func:`_sparse_rows`
+    finds the rows that UPDATE or FLUSH, the backward runs its GEMMs on
+    those.  A COPY row's adjoint of s is zero outside the ``z`` column:
+    ``_state`` multiplies its gate adjoints by exact zeros there, and
+    ``_boundary`` its ``pre`` adjoint by below_z = 0.  So a COPY row gets
+    rank-1 input adjoints and adds h_prev.T @ g to the ``z`` column of
+    U_rec's gradient only.  A narrower layer runs the full products.
     """
     h_prev, u_rec, w_bot, bias, u_top = (prev.h, params.u_rec, params.w_bot,
                                          params.bias, params.u_top)
@@ -238,21 +284,35 @@ def _preactivation(prev: LayerState, below_h: Tensor, below_z: Tensor,
     if u_top is not None:
         above_in = prev.z.data * above_h.data
         parents += [prev.z, above_h, u_top]
-    if params.hidden >= LIVE_ROWS_MIN_HIDDEN and not ad._records(parents):
-        return Tensor(_live_rows_preactivation(h_prev.data, prev.z.data, below_in,
-                                               below_z.data, above_in, params))
-    data = (h_prev.data @ u_rec.data) + (below_in @ w_bot.data) + bias.data
-    if u_top is not None:
-        data = data + above_in @ u_top.data
+    live = None
+    if params.hidden >= LIVE_ROWS_MIN_HIDDEN:
+        if not ad._records(parents):
+            return Tensor(_live_rows_preactivation(h_prev.data, prev.z.data, below_in,
+                                                   below_z.data, above_in, params))
+        live = _sparse_rows(prev.z.data + below_z.data)  # the bits are >= 0
+        data = _add_input_products(h_prev.data @ u_rec.data, below_in, below_z.data,
+                                   above_in, prev.z.data, params)
+    else:
+        data = (h_prev.data @ u_rec.data) + (below_in @ w_bot.data) + bias.data
+        if u_top is not None:
+            data = data + above_in @ u_top.data
 
     def backward_fn(g: np.ndarray) -> None:
-        ad._defer(u_rec, h_prev.data, g)
+        rows = slice(None) if live is None else live
+        g_live = g[rows]
+        ad._defer(u_rec, h_prev.data[rows], g_live)
+        if live is not None and u_rec.requires_grad:
+            copy = np.ones(len(g), dtype=bool)
+            copy[live] = False
+            if u_rec.grad is None:
+                u_rec.grad = np.zeros(u_rec.shape)
+            u_rec.grad[:, -1:] += h_prev.data[copy].T @ g[copy, -1:]
         if h_prev.requires_grad:
-            ad._accumulate(h_prev, g @ u_rec.data.T)
-        _masked_matmul_grads(g, below_z, below_h, w_bot, below_in)
+            ad._accumulate(h_prev, _row_adjoint(g, u_rec.data, live, g_live))
+        _masked_matmul_grads(g, live, g_live, below_z, below_h, w_bot, below_in)
         ad._accumulate(bias, g.sum(axis=0, keepdims=True))
         if u_top is not None:
-            _masked_matmul_grads(g, prev.z, above_h, u_top, above_in)
+            _masked_matmul_grads(g, live, g_live, prev.z, above_h, u_top, above_in)
 
     return Tensor._from_op(data, parents, backward_fn)
 

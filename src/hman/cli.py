@@ -209,6 +209,13 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
+def _switch(opts: dict, name: str) -> bool:
+    """The 0/1 option ``name`` as a bool."""
+    if opts[name] not in (0, 1):
+        raise field_error(name, "0 or 1", opts[name])
+    return bool(opts[name])
+
+
 def _model_config_from(opts: dict, manifest: hd.Manifest) -> hm.ModelConfig:
     force = opts["force_z"].strip()
     try:
@@ -217,14 +224,16 @@ def _model_config_from(opts: dict, manifest: hd.Manifest) -> hm.ModelConfig:
         raise field_error("force_z", "0, 1 or unset", force) from None
     return hm.ModelConfig(
         grid_side=manifest.grid_side, feat_dim=manifest.feat_dim,
-        classes=len(manifest.classes), cell_hidden_tanh=bool(opts["hidden_tanh"]),
+        classes=len(manifest.classes), cell_hidden_tanh=_switch(opts, "hidden_tanh"),
         force_z=force_z,
         **{name: opts[name] for name in _MODEL_FIELDS},
     )
 
 
 def _train_config_from(opts: dict) -> ht.TrainConfig:
-    return ht.TrainConfig(**{f.name: opts[f.name] for f in dataclasses.fields(ht.TrainConfig)})
+    config = ht.TrainConfig(**{f.name: opts[f.name] for f in dataclasses.fields(ht.TrainConfig)})
+    config.validate()  # before its seed reaches a generator
+    return config
 
 
 def cmd_train(args) -> int:
@@ -279,7 +288,7 @@ def cmd_eval(args) -> int:
     chosen = [samples[e.id] for e in manifest.split(opts["split"])]
     if not chosen:
         raise ConfigError(f"split {opts['split']!r} is empty")
-    report = ht.evaluate(model, chosen, block_len=opts["block_len"], with_ap=bool(opts["ap"]))
+    report = ht.evaluate(model, chosen, block_len=opts["block_len"], with_ap=_switch(opts, "ap"))
 
     out_dir = Path(opts["out"]) if opts["out"] else Path(opts["checkpoint"]).parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,8 +314,9 @@ def cmd_eval(args) -> int:
 
 def cmd_viz(args) -> int:
     opts = _resolve(args, VIZ_OPTS, required=("checkpoint", "data", "out"))
-    if opts["tolerance"] < 0:
-        raise field_error("tolerance", "non-negative", opts["tolerance"])
+    for name in ("tolerance", "seed"):
+        if opts[name] < 0:
+            raise field_error(name, "non-negative", opts[name])
     model = hm.HMAN.load(opts["checkpoint"])
     manifest, samples = hd.load_dataset(Path(opts["data"]) / "manifest.json")
     if opts["sample"]:
@@ -347,6 +357,8 @@ def cmd_grad_check(args) -> int:
     opts = _resolve(args, GRAD_OPTS, required=())
     if not 0 < opts["tolerance"] < math.inf:
         raise field_error("tolerance", "positive and finite", opts["tolerance"])
+    if opts["fixed_noise_seed"] < 0:
+        raise field_error("fixed_noise_seed", "non-negative", opts["fixed_noise_seed"])
     fault = None
     if opts["inject_fault"]:
         def fault(name, grads):  # deliberately corrupt the first check's gradient

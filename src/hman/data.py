@@ -228,6 +228,8 @@ class SyntheticSpec:
                 f"segment length range [{self.seg_len_min}, {self.seg_len_max}] is empty")
         if not 0 <= self.noise < math.inf:
             raise field_error("noise", "non-negative and finite", self.noise)
+        if self.seed < 0:
+            raise field_error("seed", "non-negative", self.seed)
         if self.distinct_sequences() < self.classes:
             raise ConfigError(
                 f"cannot build {self.classes} distinct classes from vocab {self.vocab} "

@@ -58,6 +58,8 @@ class TrainConfig:
             raise ConfigError(f"unknown frame_sampling {self.frame_sampling!r}")
         if self.lr_drop_after < 0:
             raise ConfigError("lr_drop_after must be non-negative")
+        if self.seed < 0:
+            raise field_error("seed", "non-negative", self.seed)
 
 
 def learning_rate(config: TrainConfig, iteration: int) -> float:

@@ -331,6 +331,98 @@ BOUNDARY_MODES = {
 }
 
 
+# rows: UPDATE, COPY, FLUSH, FLUSH, then four COPY: fewer than half of the rows
+# are live, so a layer of LIVE_ROWS_MIN_HIDDEN units takes the row-sparse backward
+WIDE_Z_PREV = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+WIDE_Z_BELOW = [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.fixture
+def deferred_rows(monkeypatch):
+    """Rows of each pair handed to ``autodiff._defer``, listed by id of the weight."""
+    seen = {}
+    defer = ad._defer
+
+    def spy(w, x, g):
+        seen.setdefault(id(w), []).append(len(x))
+        defer(w, x, g)
+
+    monkeypatch.setattr(ad, "_defer", spy)
+    return seen
+
+
+def fused_case(top: bool, relaxed: bool, hidden=HIDDEN, z_prev=Z_PREV, z_below=Z_BELOW):
+    rng = np.random.default_rng(31)
+    batch = len(z_prev)
+    params = hc.init_layer_params(hidden, below_dim=BELOW,
+                                  above_dim=None if top else hidden, rng=rng)
+    def leaf(values):
+        return Tensor(values, requires_grad=True)
+
+    z_prev = np.array(z_prev)[:, None]
+    z_below = np.array(z_below)[:, None]
+    if relaxed:  # the soft form also runs on relaxed incoming bits
+        z_prev = np.clip(z_prev + rng.uniform(-0.3, 0.3, size=z_prev.shape), 0.0, 1.0)
+        z_below = np.clip(z_below + rng.uniform(-0.3, 0.3, size=z_below.shape), 0.0, 1.0)
+    inputs = {
+        "prev.c": leaf(rng.normal(size=(batch, hidden))),
+        "prev.h": leaf(rng.normal(size=(batch, hidden))),
+        "prev.z": leaf(z_prev),
+        "below_h": leaf(rng.normal(size=(batch, BELOW))),
+        "below_z": leaf(z_below),
+        "above_h": None if top else leaf(rng.normal(size=(batch, hidden))),
+    }
+    # centre the detector between rows 0 and 2 (both UPDATE or FLUSH
+    # with a boundary below), so that both bit values occur in the batch
+    params.bias.data[0, 4 * hidden] = 0.0
+    s = (inputs["prev.h"].data @ params.u_rec.data
+         + (inputs["below_z"].data * inputs["below_h"].data) @ params.w_bot.data)
+    if not top:
+        s += (inputs["prev.z"].data * inputs["above_h"].data) @ params.u_top.data
+    params.bias.data[0, 4 * hidden] = -0.5 * (s[0, 4 * hidden] + s[2, 4 * hidden])
+    noise = st.sample_gumbel((2, batch, 1), rng).data
+    noise[1, [0, 2]] = noise[0, [0, 2]]  # noise cancels on those two rows
+    weights = [rng.normal(size=(batch, hidden)), rng.normal(size=(batch, hidden)),
+               rng.normal(size=(batch, 1)), rng.normal(size=(batch, 1))]
+    return params, inputs, noise, weights
+
+
+def run_fused(step_fn, params, inputs, weights, **kw):
+    leaves = dict(zip(("u_rec", "u_top", "w_bot", "bias"),
+                      [params.u_rec, params.u_top, params.w_bot, params.bias]))
+    leaves.update(inputs)
+    leaves = {name: t for name, t in leaves.items() if t is not None}
+    ad.zero_grad(leaves.values())
+    prev = hc.LayerState(c=inputs["prev.c"], h=inputs["prev.h"], z=inputs["prev.z"])
+    state = step_fn(prev, inputs["below_h"], inputs["below_z"], inputs["above_h"], params,
+                    **kw)
+    outs = [state.c, state.h, state.z, state.z_logit]
+    loss = None
+    for out, w in zip(outs, weights):
+        term = ad.sum_(out * Tensor(w))
+        loss = term if loss is None else loss + term
+    ad.backward(loss)
+    grads = {name: np.zeros(t.shape) if t.grad is None else t.grad.copy()
+             for name, t in leaves.items()}
+    return [o.data.copy() for o in outs], grads
+
+
+def compare_with_reference(params, inputs, noise, weights, mode, values_rel=0.0, **kw):
+    """The fused step's outputs (c, h, z, z_logit) and the reference step's
+    gradients, once the two steps agree: gradients within 1e-12 relative,
+    outputs within ``values_rel`` relative (0: bitwise)."""
+    kw = dict({"noise": noise}, **BOUNDARY_MODES[mode], **kw)
+    fused_out, fused_grads = run_fused(hc.step, params, inputs, weights, **kw)
+    ref_out, ref_grads = run_fused(reference_step, params, inputs, weights, **kw)
+    for got, want in zip(fused_out, ref_out):
+        assert np.max(np.abs(got - want)) <= values_rel * np.max(np.abs(want))
+    assert fused_grads.keys() == ref_grads.keys()
+    for name, want in ref_grads.items():
+        scale = max(float(np.max(np.abs(want))), 1e-300)
+        assert float(np.max(np.abs(fused_grads[name] - want))) <= 1e-12 * scale, name
+    return fused_out, ref_grads
+
+
 class TestFusedMatchesReference:
     """The fused step against the op-by-op reference, on a B=6 mixed batch.
 
@@ -338,79 +430,78 @@ class TestFusedMatchesReference:
     bits, so this comparison is the only check of those gradients.
     """
 
-    def _case(self, top: bool, relaxed: bool):
-        rng = np.random.default_rng(31)
-        batch = len(Z_PREV)
-        params = make_params(rng, above=not top)
-        def leaf(values):
-            return Tensor(values, requires_grad=True)
-
-        z_prev = np.array(Z_PREV)[:, None]
-        z_below = np.array(Z_BELOW)[:, None]
-        if relaxed:  # the soft form also runs on relaxed incoming bits
-            z_prev = np.clip(z_prev + rng.uniform(-0.3, 0.3, size=z_prev.shape), 0.0, 1.0)
-            z_below = np.clip(z_below + rng.uniform(-0.3, 0.3, size=z_below.shape), 0.0, 1.0)
-        inputs = {
-            "prev.c": leaf(rng.normal(size=(batch, HIDDEN))),
-            "prev.h": leaf(rng.normal(size=(batch, HIDDEN))),
-            "prev.z": leaf(z_prev),
-            "below_h": leaf(rng.normal(size=(batch, BELOW))),
-            "below_z": leaf(z_below),
-            "above_h": None if top else leaf(rng.normal(size=(batch, HIDDEN))),
-        }
-        # centre the detector between rows 0 and 2 (both UPDATE or FLUSH
-        # with a boundary below), so that both bit values occur in the batch
-        params.bias.data[0, 4 * HIDDEN] = 0.0
-        s = (inputs["prev.h"].data @ params.u_rec.data
-             + (inputs["below_z"].data * inputs["below_h"].data) @ params.w_bot.data)
-        if not top:
-            s += (inputs["prev.z"].data * inputs["above_h"].data) @ params.u_top.data
-        params.bias.data[0, 4 * HIDDEN] = -0.5 * (s[0, 4 * HIDDEN] + s[2, 4 * HIDDEN])
-        noise = st.sample_gumbel((2, batch, 1), rng).data
-        noise[1, [0, 2]] = noise[0, [0, 2]]  # noise cancels on those two rows
-        weights = [rng.normal(size=(batch, HIDDEN)), rng.normal(size=(batch, HIDDEN)),
-                   rng.normal(size=(batch, 1)), rng.normal(size=(batch, 1))]
-        return params, inputs, noise, weights
-
-    def _run(self, step_fn, params, inputs, weights, **kw):
-        leaves = dict(zip(("u_rec", "u_top", "w_bot", "bias"),
-                          [params.u_rec, params.u_top, params.w_bot, params.bias]))
-        leaves.update(inputs)
-        leaves = {name: t for name, t in leaves.items() if t is not None}
-        ad.zero_grad(leaves.values())
-        prev = hc.LayerState(c=inputs["prev.c"], h=inputs["prev.h"], z=inputs["prev.z"])
-        state = step_fn(prev, inputs["below_h"], inputs["below_z"], inputs["above_h"], params,
-                        **kw)
-        outs = [state.c, state.h, state.z, state.z_logit]
-        loss = None
-        for out, w in zip(outs, weights):
-            term = ad.sum_(out * Tensor(w))
-            loss = term if loss is None else loss + term
-        ad.backward(loss)
-        grads = {name: np.zeros(t.shape) if t.grad is None else t.grad.copy()
-                 for name, t in leaves.items()}
-        return [o.data.copy() for o in outs], grads
-
     @pytest.mark.parametrize("top", [False, True], ids=["middle", "top"])
     @pytest.mark.parametrize("hidden_tanh", [True, False], ids=["tanh", "literal"])
     @pytest.mark.parametrize("mode", sorted(BOUNDARY_MODES))
     def test_values_bitwise_and_gradients_within_1e12(self, mode, hidden_tanh, top):
-        params, inputs, noise, weights = self._case(top, relaxed=(mode == "soft"))
-        kw = dict({"noise": noise}, **BOUNDARY_MODES[mode], hidden_tanh=hidden_tanh)
-        fused_out, fused_grads = self._run(hc.step, params, inputs, weights, **kw)
-        ref_out, ref_grads = self._run(reference_step, params, inputs, weights, **kw)
-        for got, want in zip(fused_out, ref_out):
-            assert np.array_equal(got, want)
+        params, inputs, noise, weights = fused_case(top, relaxed=(mode == "soft"))
+        fused_out, ref_grads = compare_with_reference(params, inputs, noise, weights, mode,
+                                             hidden_tanh=hidden_tanh)
         if mode in ("noisy", "deterministic"):
             # the batch must hold both bit values, or half the boundary path is unseen
             assert set(np.unique(fused_out[2] > 0)) == {False, True}
-        assert fused_grads.keys() == ref_grads.keys()
-        for name, want in ref_grads.items():
-            scale = max(float(np.max(np.abs(want))), 1e-300)
-            assert float(np.max(np.abs(fused_grads[name] - want))) <= 1e-12 * scale, name
         # gradient must reach the incoming bits, or this comparison would
         # check nothing there
         assert np.any(ref_grads["below_z"]) and np.any(ref_grads["prev.z"])
+
+
+class TestRowSparseTapedStep:
+    """A taped step of a layer of ``LIVE_ROWS_MIN_HIDDEN`` units where most rows
+    COPY: its backward runs its GEMMs on the rows that UPDATE or FLUSH, and a
+    COPY row reaches only the boundary column of U_rec's gradient."""
+
+    WIDE = hc.LIVE_ROWS_MIN_HIDDEN
+
+    def _case(self, top, relaxed, z_prev=WIDE_Z_PREV, z_below=WIDE_Z_BELOW):
+        return fused_case(top, relaxed, self.WIDE, z_prev, z_below)
+
+    @staticmethod
+    def _compare(params, inputs, noise, weights, mode):
+        """As :func:`compare_with_reference`, with outputs to rounding: the
+        bottom-up and top-down products skip the rows whose masked input is
+        zero, and a product over gathered rows can round differently.  A hard
+        bit that differed would differ by 1."""
+        return compare_with_reference(params, inputs, noise, weights, mode, values_rel=1e-15)
+
+    @pytest.mark.parametrize("top", [False, True], ids=["middle", "top"])
+    @pytest.mark.parametrize("mode", sorted(BOUNDARY_MODES))
+    def test_copy_majority_takes_the_row_sparse_backward(self, mode, top, deferred_rows):
+        params, inputs, noise, weights = self._case(top, relaxed=(mode == "soft"))
+        copy = (np.array(WIDE_Z_PREV) == 0) & (np.array(WIDE_Z_BELOW) == 0)
+        if mode == "soft":  # relaxed bits, with the COPY rows' both exactly 0
+            for name in ("prev.z", "below_z"):
+                inputs[name].data[copy] = 0.0
+        fused_out, ref_grads = self._compare(params, inputs, noise, weights, mode)
+        live = len(WIDE_Z_PREV) - int(copy.sum())
+        assert deferred_rows[id(params.u_rec)] == [live]  # the fused step's pair only
+        if mode in ("noisy", "deterministic"):
+            assert set(np.unique(fused_out[2] > 0)) == {False, True}
+        # the straight-through gradient of the bits reaches the COPY rows too
+        assert np.all(ref_grads["below_z"][copy] != 0)
+        assert top or np.all(ref_grads["prev.z"][copy] != 0)
+        # a COPY row's adjoint of s reaches U_rec's boundary column only
+        assert np.any(ref_grads["u_rec"][:, -1])
+
+    @pytest.mark.parametrize("mode", sorted(BOUNDARY_MODES))
+    def test_all_copy_batch(self, mode, deferred_rows):
+        zeros = [0.0] * len(WIDE_Z_PREV)
+        params, inputs, noise, weights = self._case(False, relaxed=False, z_prev=zeros,
+                                                    z_below=zeros)
+        fused_out, ref_grads = self._compare(params, inputs, noise, weights, mode)
+        assert deferred_rows[id(params.u_rec)] == [0]
+        npt.assert_array_equal(fused_out[0], inputs["prev.c"].data)
+        assert not np.any(ref_grads["u_rec"][:, :-1]) and np.any(ref_grads["u_rec"][:, -1])
+
+    @pytest.mark.parametrize("mode", ["soft", "forced"])
+    def test_without_a_copy_row_the_dense_form_runs(self, mode, deferred_rows):
+        params, inputs, noise, weights = self._case(False, relaxed=(mode == "soft"))
+        copy = (np.array(WIDE_Z_PREV) == 0) & (np.array(WIDE_Z_BELOW) == 0)
+        # relaxed bits just off zero, or hard bits with a boundary below: no row
+        # has both bits exactly 0
+        inputs["below_z"].data[copy] = 0.25 if mode == "soft" else 1.0
+        assert np.all(inputs["prev.z"].data + inputs["below_z"].data > 0)
+        self._compare(params, inputs, noise, weights, mode)
+        assert deferred_rows[id(params.u_rec)] == [len(WIDE_Z_PREV)]
 
 
 class TestFusionGuard:
@@ -432,19 +523,15 @@ class TestFusionGuard:
         assert len(ops) == 3
 
 
-# the chain's outputs that its loss weighs: s1.h, s1.c, s1.z_logit, s2.h, s2.c, s2.z, s2.z_logit
-CHAIN_OUTPUTS = [(HIDDEN,), (HIDDEN,), (1,), (HIDDEN,), (HIDDEN,), (1,), (1,)]
-
-
-def chain_case(rng, steps, batch, derived=False):
+def chain_case(rng, steps, batch, derived=False, hidden=HIDDEN):
     """Weights, inputs, Gumbel draws and loss weights of a two-layer chain.
 
     Layer 1 reads the input and has a layer above; layer 2 is the top.
     ``build()`` gives the LayerParams the cell sees: the leaves themselves,
     or with ``derived`` every weight matrix as an op output (leaf * 1.0).
     """
-    leaves = [make_params(rng),
-              hc.init_layer_params(HIDDEN, below_dim=HIDDEN, above_dim=None, rng=rng)]
+    leaves = [hc.init_layer_params(hidden, below_dim=BELOW, above_dim=hidden, rng=rng),
+              hc.init_layer_params(hidden, below_dim=hidden, above_dim=None, rng=rng)]
 
     def build():
         if not derived:
@@ -455,7 +542,9 @@ def chain_case(rng, steps, batch, derived=False):
 
     inputs = [Tensor(rng.normal(size=(batch, BELOW)), requires_grad=True) for _ in range(steps)]
     noise = st.sample_gumbel((steps, 2, 2, batch, 1), rng).data  # [t, layer] is a (2, B, 1) pair
-    weights = [[rng.normal(size=(batch,) + s) for s in CHAIN_OUTPUTS] for _ in range(steps)]
+    # the outputs that the loss weighs: s1.h, s1.c, s1.z_logit, s2.h, s2.c, s2.z, s2.z_logit
+    widths = [hidden, hidden, 1, hidden, hidden, 1, 1]
+    weights = [[rng.normal(size=(batch, w)) for w in widths] for _ in range(steps)]
     return leaves, build, inputs, noise, weights
 
 
@@ -468,8 +557,8 @@ def run_chain(step_fn, params, inputs, noise, weights):
     marked no boundary.  Returns the loss and layer 2's (z_prev, z_below)
     per step.
     """
-    batch = inputs[0].shape[0]
-    s1, s2 = hc.initial_state(HIDDEN, batch), hc.initial_state(HIDDEN, batch)
+    batch, hidden = inputs[0].shape[0], params[0].hidden
+    s1, s2 = hc.initial_state(hidden, batch), hc.initial_state(hidden, batch)
     ones = Tensor(np.ones((batch, 1)))
     loss, branches = None, []
     for t, x in enumerate(inputs):
@@ -519,6 +608,33 @@ class TestSequenceWeightGradients:
         copy = (z_prev == 0) & (z_below == 0)
         flush = z_prev == 1
         assert update.any() and copy.any() and flush.any()
+        for got, want in zip(grads, ref_grads):
+            scale = max(float(np.max(np.abs(want))), 1e-300)
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("derived", [False, True], ids=["leaf", "op-output"])
+    def test_wide_chain_of_copy_majority_steps_within_1e12_of_reference(self, derived,
+                                                                          deferred_rows):
+        # layer 1 UPDATEs or FLUSHes every row; layer 2, whose lower bit is layer
+        # 1's, COPYs on most, so its steps take the row-sparse backward
+        batch, steps = 8, 40
+        leaves, build, inputs, noise, weights = chain_case(
+            np.random.default_rng(42), steps, batch, derived, hc.LIVE_ROWS_MIN_HIDDEN)
+        tensors = weight_tensors(leaves) + inputs
+        params = build()
+        loss, grads, branches = chain_grads(hc.step, params, tensors, inputs, noise, weights)
+        rows = [deferred_rows.pop(id(p.u_rec))[::-1] for p in params]  # replayed last step first
+        ref_loss, ref_grads, ref_branches = chain_grads(reference_step, build(), tensors, inputs,
+                                                        noise, weights)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert all(np.array_equal(a, b) for got, want in zip(branches, ref_branches)
+                   for a, b in zip(got, want))
+        z_prev, z_below = (np.stack([b[k] for b in branches]) for k in (0, 1))
+        live = ((z_prev + z_below) > 0).sum(axis=1)
+        assert rows[0] == [batch] * steps
+        assert rows[1] == [n if 2 * n < batch else batch for n in live]
+        assert sum(2 * n < batch for n in live) > steps // 2
+        assert (z_prev == 1).any() and ((z_prev == 0) & (z_below == 1)).any()
         for got, want in zip(grads, ref_grads):
             scale = max(float(np.max(np.abs(want))), 1e-300)
             assert float(np.max(np.abs(got - want))) <= 1e-12 * scale

@@ -80,6 +80,14 @@ class TestGenSynth:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_one_naming_the_flag(self, tmp_path, capsys):
+        # numpy's generators take no negative seed
+        out = tmp_path / "x"
+        assert run_cli("gen-synth", "--out", out, "--seed", -1) == 1
+        err = capsys.readouterr().err
+        assert "seed (--seed) must be non-negative, got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_produces_checkpoints_metrics_and_run_config(self, trained):
@@ -168,6 +176,22 @@ class TestTrain:
         assert "(--force-z) must be 0, 1 or unset" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_one_naming_the_flag(self, dataset, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("train", "--data", dataset, "--out", out, "--seed", -1) == 1
+        err = capsys.readouterr().err
+        assert "seed (--seed) must be non-negative, got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_hidden_tanh_other_than_0_or_1_exits_one_naming_the_flag(self, dataset, tmp_path,
+                                                                     capsys, value):
+        out = tmp_path / "o"
+        assert run_cli("train", "--data", dataset, "--out", out, "--hidden-tanh", value) == 1
+        err = capsys.readouterr().err
+        assert f"hidden_tanh (--hidden-tanh) must be 0 or 1, got {value}" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("mode", ["reinforce", "gumbel-constant", "gumbel-adaptive"])
     def test_all_attention_modes_train(self, dataset, tmp_path, mode):
         out = tmp_path / mode
@@ -243,6 +267,15 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", trained / "ckpt_epoch_002.hman",
                        "--data", dataset, "--out", tmp_path, "--block-len", block_len) == 1
         assert "--block-len" in capsys.readouterr().err
+
+    def test_ap_other_than_0_or_1_exits_one_naming_the_flag(self, dataset, trained, tmp_path,
+                                                            capsys):
+        out = tmp_path / "report"
+        assert run_cli("eval", "--checkpoint", trained / "ckpt_epoch_002.hman",
+                       "--data", dataset, "--out", out, "--ap", 2) == 1
+        captured = capsys.readouterr()
+        assert "ap (--ap) must be 0 or 1, got 2" in captured.err
+        assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
 
 
 def read_layout(path):
@@ -377,6 +410,14 @@ class TestViz:
         assert "tolerance (--tolerance) must be non-negative, got -1" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_negative_seed_exits_one_naming_the_flag(self, dataset, trained, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert run_cli("viz", "--checkpoint", trained / "ckpt_epoch_002.hman",
+                       "--data", dataset, "--out", out, "--seed", -1) == 1
+        captured = capsys.readouterr()
+        assert "seed (--seed) must be non-negative, got -1" in captured.err
+        assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
 
 class TestSampledEvaluation:
     def test_train_eval_and_viz_run_with_sampled_boundaries(self, dataset, tmp_path, capsys):
@@ -434,6 +475,16 @@ class TestGradCheck:
         captured = capsys.readouterr()
         assert "tolerance (--tolerance) must be positive and finite" in captured.err
         assert captured.out == ""
+
+    def test_negative_fixed_noise_seed_exits_one_naming_the_flag(self, capsys, monkeypatch):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(gc, "run_all", no_checks)
+        assert run_cli("grad-check", "--fixed-noise-seed", -1) == 1
+        captured = capsys.readouterr()
+        assert "fixed_noise_seed (--fixed-noise-seed) must be non-negative, got -1" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_injected_fault_is_caught(self, capsys):
         # the fault hook reaches each check by name and corrupts only the first

@@ -145,6 +145,10 @@ class TestSyntheticGenerator:
         with pytest.raises(ConfigError):
             tiny_spec(seg_len_min=5, seg_len_max=4).validate()
 
+    def test_negative_seed_rejected_naming_the_flag(self):
+        with pytest.raises(ConfigError, match=r"seed \(--seed\) must be non-negative, got -1"):
+            tiny_spec(seed=-1).validate()
+
     def test_sequences_have_no_immediate_repeats(self, tmp_path):
         hd.gen_synthetic(tiny_spec(segments=4, seed=5), tmp_path / "d")
         meta = json.loads((tmp_path / "d" / "generator.json").read_text())

@@ -71,6 +71,10 @@ class TestTrainConfigValidation:
                                               "must be an int"):
             ht.TrainConfig(**{name: value}).validate()
 
+    def test_negative_seed_rejected_naming_the_flag(self):
+        with pytest.raises(ConfigError, match=r"seed \(--seed\) must be non-negative, got -1"):
+            ht.TrainConfig(seed=-1).validate()
+
 
 class TestClipping:
     def test_large_gradient_scaled_to_clip_norm_preserving_direction(self):
@@ -305,6 +309,46 @@ class TestOneGraphPerStep:
         assert all(n._backward_fn is None and n._parents == () for n in nodes)
         with pytest.raises(ContractError, match="already"):
             ad.backward(loss)
+
+
+class TestRowSparseTrainingGuard:
+    """Wide-layer training keeps its row-sparse backward: where most rows of a
+    layer of at least ``cell.LIVE_ROWS_MIN_HIDDEN`` units COPY, the backward
+    hands ``autodiff._defer`` the recurrent pairs of the live rows only."""
+
+    @staticmethod
+    def u_rec_pair_rows(monkeypatch, hidden, batch):
+        """One training step at ``hidden`` units; per layer, the rows of each
+        (h_prev, g) pair that its backward deferred for U_rec."""
+        config = hm.ModelConfig(layers=3, hidden=hidden, grid_side=4, feat_dim=16, classes=8,
+                                attention="gumbel-adaptive")
+        model = hm.HMAN(config, np.random.default_rng(0))
+        trainer = ht.Trainer(model, ht.TrainConfig(batch_size=batch, window=20, seed=0))
+        seen = {}
+        defer = ad._defer
+
+        def spy(w, x, g):
+            seen.setdefault(id(w), []).append(len(x))
+            defer(w, x, g)
+
+        monkeypatch.setattr(ad, "_defer", spy)
+        x = np.random.default_rng(1).normal(size=(batch, 20, 16, 16))
+        trainer._step(x, np.arange(batch) % 8, 1e-3, [])
+        return [seen[id(model.layer_params(layer).u_rec)] for layer in (1, 2, 3)]
+
+    def test_wide_step_takes_it_on_the_mostly_copying_layers(self, monkeypatch):
+        # at initialisation the detectors fire on about a quarter of the rows
+        # where the layer below fired, so layers 2 and 3 COPY on most rows
+        batch = 32
+        layer1, *upper = self.u_rec_pair_rows(monkeypatch, 128, batch)
+        assert layer1 == [batch] * 20  # below_z = 1: every row UPDATEs or FLUSHes
+        for rows in upper:
+            assert len(rows) == 20 and sum(r < batch for r in rows) >= 15, rows
+
+    def test_narrow_step_never_takes_it(self, monkeypatch):
+        batch = 32
+        for rows in self.u_rec_pair_rows(monkeypatch, 10, batch):
+            assert rows == [batch] * 20
 
 
 class TestEvaluate:
