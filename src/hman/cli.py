@@ -12,9 +12,7 @@ Exit codes: 0 success, 1 user/config error, 2 internal invariant failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -26,7 +24,8 @@ from . import gradcheck as gc
 from . import model as hm
 from . import training as ht
 from . import viz as hv
-from .errors import ConfigError, FormatError, TrainingAbort, field_error
+from .errors import (POSITIVE, ConfigError, FormatError, Rule, TrainingAbort, at_least, check,
+                     flag, one_of, rules)
 
 
 def _is_number(text: str) -> bool:
@@ -58,15 +57,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _owned(owner, **help_texts: str) -> dict:
-    """Options whose types and defaults are those of the same-named attributes
-    of ``owner``: the config fields they set."""
-    return {name: (type(getattr(owner, name)), getattr(owner, name), text)
+    """Options whose rules and defaults are those of the same-named fields
+    of the config class ``owner``: the fields they set."""
+    declared = rules(owner)
+    return {name: (declared[name], getattr(owner, name), text)
             for name, text in help_texts.items()}
 
 
-# option tables: name -> (type, default, help); bools are 0/1 ints
+def _force_z(text: str) -> float | None:
+    """The --force-z value: unset when blank."""
+    return float(text) if text.strip() else None
+
+
+SWITCH = one_of(0, 1)
+# option tables: name -> (rule, default, help); a bool option is a 0/1 SWITCH,
+# and the options without a rule are paths and names
 GEN_OPTS = {
-    "out": (str, None, "output dataset directory"),
+    "out": (None, None, "output dataset directory"),
     **_owned(hd.SyntheticSpec, classes="number of classes", vocab="sub-action vocabulary size",
              segments="segments per clip", seg_len_min="minimum frames per segment",
              seg_len_max="maximum frames per segment", grid_side="attention grid side K",
@@ -75,60 +82,63 @@ GEN_OPTS = {
              seed="generator seed"),
 }
 
-# the ModelConfig fields that train options set by name; hidden_tanh and
-# force_z set the others through their CLI encodings
-_MODEL_FIELDS = ("attention", "layers", "hidden", "eval_z", "attention_tau", "boundary_tau")
 TRAIN_OPTS = {
-    "data": (str, None, "dataset directory (with manifest.json)"),
-    "out": (str, None, "run output directory"),
+    "data": (None, None, "dataset directory (with manifest.json)"),
+    "out": (None, None, "run output directory"),
     **_owned(hm.ModelConfig, attention="soft | reinforce | gumbel-constant | gumbel-adaptive",
              layers="stack depth", hidden="hidden units per layer"),
-    "hidden_tanh": (int, int(hm.ModelConfig.cell_hidden_tanh),
+    "hidden_tanh": (SWITCH, int(hm.ModelConfig.cell_hidden_tanh),
                     "1: h = o*tanh(c); 0: literal h = o*c"),
     **_owned(hm.ModelConfig, eval_z="boundary bits at evaluation: deterministic | sampled",
              attention_tau="constant attention temperature",
              boundary_tau="boundary-detector temperature"),
-    "force_z": (str, "", "force every boundary bit to 0 or 1 (baseline configs)"),
+    "force_z": (Rule(str, "0, 1 or unset",
+                     lambda v: not v.strip() or _is_number(v) and _force_z(v) in (0, 1)),
+                "", "force every boundary bit to 0 or 1 (baseline configs)"),
     **_owned(ht.TrainConfig, batch_size="clips per mini-batch",
              window="frames per training clip", lr="base learning rate",
              lr_drop="learning rate after the drop", lr_drop_after="iterations at the base rate",
              clip_norm="global gradient-norm clip", reinforce_lambda="score-function term weight",
              frame_sampling="window | random", epochs="training epochs", seed="run seed"),
-    "eval_every": (int, 0, "evaluate the test split every N epochs (0: never)"),
+    "eval_every": (at_least(0), 0, "evaluate the test split every N epochs (0: never)"),
 }
+# the ModelConfig fields that train options set by name, under the field's own rule;
+# hidden_tanh and force_z set the others through their CLI encodings
+_MODEL_FIELDS = [name for name, rule in rules(hm.ModelConfig).items()
+                 if name in TRAIN_OPTS and TRAIN_OPTS[name][0] is rule]
 
 EVAL_OPTS = {
-    "checkpoint": (str, None, "checkpoint file"),
-    "data": (str, None, "dataset directory"),
-    "split": (str, "test", "manifest split to evaluate"),
-    "block_len": (int, 60, "frames per prediction block"),
-    "ap": (int, 0, "1: also report per-class average precision"),
-    "out": (str, "", "directory for report CSVs (default: checkpoint directory)"),
+    "checkpoint": (None, None, "checkpoint file"),
+    "data": (None, None, "dataset directory"),
+    "split": (None, "test", "manifest split to evaluate"),
+    "block_len": (at_least(1), 60, "frames per prediction block"),
+    "ap": (SWITCH, 0, "1: also report per-class average precision"),
+    "out": (None, "", "directory for report CSVs (default: checkpoint directory)"),
 }
 
 VIZ_OPTS = {
-    "checkpoint": (str, None, "checkpoint file"),
-    "data": (str, None, "dataset directory"),
-    "sample": (str, "", "sample id (default: first test sample)"),
-    "out": (str, None, "output directory for rasters"),
-    "tolerance": (int, 2, "boundary alignment tolerance in frames"),
-    "seed": (int, 0, "seed for the chance-level boundary baseline (and, with "
-                     "eval_z=sampled, the boundary noise)"),
+    "checkpoint": (None, None, "checkpoint file"),
+    "data": (None, None, "dataset directory"),
+    "sample": (None, "", "sample id (default: first test sample)"),
+    "out": (None, None, "output directory for rasters"),
+    "tolerance": (at_least(0), 2, "boundary alignment tolerance in frames"),
+    "seed": (at_least(0), 0, "seed for the chance-level boundary baseline (and, with "
+                             "eval_z=sampled, the boundary noise)"),
 }
 
 GRAD_OPTS = {
-    "fixed_noise_seed": (int, 0, "seed for the frozen noise streams"),
-    "tolerance": (float, gc.FD_TOLERANCE, "worst allowed relative error"),
-    "inject_fault": (int, 0, "test hook: corrupt one gradient to prove detection"),
+    "fixed_noise_seed": (at_least(0), 0, "seed for the frozen noise streams"),
+    "tolerance": (POSITIVE, gc.FD_TOLERANCE, "worst allowed relative error"),
+    "inject_fault": (SWITCH, 0, "test hook: corrupt one gradient to prove detection"),
 }
 
 
 def _add_options(parser: argparse.ArgumentParser, table: dict) -> None:
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of option values (flags override it)")
-    for name, (typ, _default, help_text) in table.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None,
-                            dest=name, help=help_text)
+    for name, (rule, _default, help_text) in table.items():
+        parser.add_argument(flag(name), type=rule.type if rule else str, default=None, dest=name,
+                            help=help_text)
 
 
 def _convert(typ, value):
@@ -141,7 +151,9 @@ def _convert(typ, value):
 
 
 def _resolve(args: argparse.Namespace, table: dict, required: tuple[str, ...]) -> dict:
-    merged = {name: default for name, (_t, default, _h) in table.items()}
+    """The options of ``table`` from defaults, the --config file and the flags,
+    in rising precedence, each checked against its rule."""
+    merged = {name: default for name, (_r, default, _h) in table.items()}
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -156,19 +168,20 @@ def _resolve(args: argparse.Namespace, table: dict, required: tuple[str, ...]) -
         for key, value in loaded.items():
             if key not in table:
                 raise ConfigError(f"config file {path} has unknown option {key!r}")
-            typ = table[key][0]
+            typ = table[key][0].type if table[key][0] else str
             try:
                 merged[key] = _convert(typ, value)
             except (TypeError, ValueError, OverflowError) as e:
-                raise ConfigError(f"config file {path}: option {key!r} needs a {typ.__name__}, "
-                                  f"got {value!r}") from e
+                raise ConfigError(f"config file {path}: option {key!r} ({flag(key)}) needs "
+                                  f"a {typ.__name__}, got {value!r}") from e
     for name in table:
         value = getattr(args, name)
         if value is not None:
             merged[name] = value
     for name in required:
         if not merged.get(name):
-            raise ConfigError(f"--{name.replace('_', '-')} is required")
+            raise ConfigError(f"{flag(name)} is required")
+    check(merged, {name: rule for name, (rule, _d, _h) in table.items() if rule})
     return merged
 
 
@@ -209,37 +222,17 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def _switch(opts: dict, name: str) -> bool:
-    """The 0/1 option ``name`` as a bool."""
-    if opts[name] not in (0, 1):
-        raise field_error(name, "0 or 1", opts[name])
-    return bool(opts[name])
-
-
 def _model_config_from(opts: dict, manifest: hd.Manifest) -> hm.ModelConfig:
-    force = opts["force_z"].strip()
-    try:
-        force_z = None if force == "" else float(force)
-    except ValueError:
-        raise field_error("force_z", "0, 1 or unset", force) from None
     return hm.ModelConfig(
         grid_side=manifest.grid_side, feat_dim=manifest.feat_dim,
-        classes=len(manifest.classes), cell_hidden_tanh=_switch(opts, "hidden_tanh"),
-        force_z=force_z,
+        classes=len(manifest.classes), cell_hidden_tanh=bool(opts["hidden_tanh"]),
+        force_z=_force_z(opts["force_z"]),
         **{name: opts[name] for name in _MODEL_FIELDS},
     )
 
 
-def _train_config_from(opts: dict) -> ht.TrainConfig:
-    config = ht.TrainConfig(**{f.name: opts[f.name] for f in dataclasses.fields(ht.TrainConfig)})
-    config.validate()  # before its seed reaches a generator
-    return config
-
-
 def cmd_train(args) -> int:
     opts = _resolve(args, TRAIN_OPTS, required=("data", "out"))
-    if opts["eval_every"] < 0:
-        raise ConfigError(f"--eval-every must be 0 (never) or positive, got {opts['eval_every']}")
     data_dir = Path(opts["data"])
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
@@ -249,7 +242,7 @@ def cmd_train(args) -> int:
     test_samples = [samples[e.id] for e in manifest.split("test")]
 
     model_cfg = _model_config_from(opts, manifest)
-    train_cfg = _train_config_from(opts)
+    train_cfg = ht.TrainConfig(**{name: opts[name] for name in rules(ht.TrainConfig)})
     model = hm.HMAN(model_cfg, np.random.default_rng(train_cfg.seed))
     trainer = ht.Trainer(model, train_cfg)
 
@@ -288,7 +281,7 @@ def cmd_eval(args) -> int:
     chosen = [samples[e.id] for e in manifest.split(opts["split"])]
     if not chosen:
         raise ConfigError(f"split {opts['split']!r} is empty")
-    report = ht.evaluate(model, chosen, block_len=opts["block_len"], with_ap=_switch(opts, "ap"))
+    report = ht.evaluate(model, chosen, block_len=opts["block_len"], with_ap=bool(opts["ap"]))
 
     out_dir = Path(opts["out"]) if opts["out"] else Path(opts["checkpoint"]).parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -314,9 +307,6 @@ def cmd_eval(args) -> int:
 
 def cmd_viz(args) -> int:
     opts = _resolve(args, VIZ_OPTS, required=("checkpoint", "data", "out"))
-    for name in ("tolerance", "seed"):
-        if opts[name] < 0:
-            raise field_error(name, "non-negative", opts[name])
     model = hm.HMAN.load(opts["checkpoint"])
     manifest, samples = hd.load_dataset(Path(opts["data"]) / "manifest.json")
     if opts["sample"]:
@@ -355,10 +345,6 @@ def cmd_viz(args) -> int:
 
 def cmd_grad_check(args) -> int:
     opts = _resolve(args, GRAD_OPTS, required=())
-    if not 0 < opts["tolerance"] < math.inf:
-        raise field_error("tolerance", "positive and finite", opts["tolerance"])
-    if opts["fixed_noise_seed"] < 0:
-        raise field_error("fixed_noise_seed", "non-negative", opts["fixed_noise_seed"])
     fault = None
     if opts["inject_fault"]:
         def fault(name, grads):  # deliberately corrupt the first check's gradient

@@ -26,13 +26,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, field_error
+from .errors import (NON_NEGATIVE, ConfigError, FormatError, at_least, check, declared,
+                     field_error, rules)
 
 HMFT_MAGIC = b"HMFT"
 HMFT_VERSION = 1
@@ -203,37 +204,27 @@ class SyntheticSpec:
     location and segment the runs.
     """
 
-    classes: int = 8
-    vocab: int = 6
-    segments: int = 3
-    seg_len_min: int = 5
-    seg_len_max: int = 10
-    grid_side: int = 4
-    feat_dim: int = 16
-    noise: float = 0.1
-    train_per_class: int = 100
-    test_per_class: int = 25
-    seed: int = 0
+    classes: int = declared(8, at_least(1))
+    vocab: int = declared(6, at_least(1))
+    segments: int = declared(3, at_least(1))
+    seg_len_min: int = declared(5, at_least(1))
+    seg_len_max: int = declared(10, at_least(1))
+    grid_side: int = declared(4, at_least(1))
+    feat_dim: int = declared(16, at_least(1))
+    noise: float = declared(0.1, NON_NEGATIVE)
+    train_per_class: int = declared(100, at_least(0))
+    test_per_class: int = declared(25, at_least(0))
+    seed: int = declared(0, at_least(0))
 
     def validate(self) -> None:
-        if self.vocab < 1 or self.segments < 1 or self.classes < 1:
-            raise ConfigError("classes, vocab and segments must all be positive")
-        for name, least in (("grid_side", 1), ("feat_dim", 1),
-                            ("train_per_class", 0), ("test_per_class", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise field_error(name, f"at least {least}", value)
-        if self.seg_len_min < 1 or self.seg_len_max < self.seg_len_min:
-            raise ConfigError(
-                f"segment length range [{self.seg_len_min}, {self.seg_len_max}] is empty")
-        if not 0 <= self.noise < math.inf:
-            raise field_error("noise", "non-negative and finite", self.noise)
-        if self.seed < 0:
-            raise field_error("seed", "non-negative", self.seed)
+        check(vars(self), rules(SyntheticSpec))
+        if self.seg_len_max < self.seg_len_min:
+            raise field_error("seg_len_max", f"at least seg_len_min ({self.seg_len_min})",
+                              self.seg_len_max)
         if self.distinct_sequences() < self.classes:
-            raise ConfigError(
-                f"cannot build {self.classes} distinct classes from vocab {self.vocab} "
-                f"with {self.segments} segments (only {self.distinct_sequences()} orders exist)")
+            raise field_error(
+                "classes", f"at most {self.distinct_sequences()}, the number of distinct "
+                f"orders of {self.segments} segments over vocab {self.vocab}", self.classes)
 
     def distinct_sequences(self) -> int:
         if self.segments == 1:
@@ -365,9 +356,7 @@ def gen_synthetic(spec: SyntheticSpec, out_dir,
         "sequences": [list(s) for s in class_seqs],
         "prototypes": prototypes.tolist(),
         "locations": [int(v) for v in locations],
-        "spec": {k: getattr(spec, k) for k in (
-            "classes", "vocab", "segments", "seg_len_min", "seg_len_max",
-            "grid_side", "feat_dim", "noise", "train_per_class", "test_per_class", "seed")},
+        "spec": asdict(spec),
     }
     (out_dir / "generator.json").write_text(json.dumps(meta, indent=1, sort_keys=True),
                                             encoding="utf-8")

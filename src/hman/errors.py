@@ -1,23 +1,72 @@
-"""Exception types shared across modules (CLI maps these to exit codes)."""
+"""Exception types shared across modules (CLI maps these to exit codes), and
+the declared type and range of every config field and command-line option."""
 
-from numbers import Integral
+import dataclasses
+import math
+from numbers import Integral, Real
+from typing import Any, Callable, Mapping, NamedTuple
 
 
 class ConfigError(ValueError):
     """A configuration value or combination is invalid or infeasible."""
 
 
+def flag(name: str) -> str:
+    """The command-line flag that sets option or field ``name``."""
+    return "--" + name.replace("_", "-")
+
+
 def field_error(name: str, rule: str, value) -> ConfigError:
     """The error for config field ``name``, named with the flag that sets it."""
-    return ConfigError(f"{name} (--{name.replace('_', '-')}) must be {rule}, got {value!r}")
+    return ConfigError(f"{name} ({flag(name)}) must be {rule}, got {value!r}")
 
 
-def require_ints(config, names: tuple[str, ...]) -> None:
-    """Raise the field error of the first of ``names`` not holding an int (a bool is not one)."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise field_error(name, "an int", value)
+class Rule(NamedTuple):
+    """A field's declared type, and its range: the values that ``allows`` and
+    ``text`` admit.  An ``optional`` field also takes None (unset)."""
+
+    type: type
+    text: str
+    allows: Callable[[Any], bool]
+    optional: bool = False
+
+
+# the classes each declared type admits (a bool only as a bool), and its name
+_TYPES = {int: (Integral, "an int"), float: (Real, "a number"), str: (str, "a string"),
+          bool: (bool, "a bool")}
+POSITIVE = Rule(float, "positive and finite", lambda v: 0 < v < math.inf)
+NON_NEGATIVE = Rule(float, "non-negative and finite", lambda v: 0 <= v < math.inf)
+
+
+def at_least(least: int) -> Rule:
+    return Rule(int, "non-negative" if least == 0 else f"at least {least}", lambda v: v >= least)
+
+
+def one_of(*choices) -> Rule:
+    *head, last = map(repr, choices)
+    return Rule(type(choices[0]), f"{', '.join(head)} or {last}", lambda v: v in choices)
+
+
+def declared(default, rule: Rule):
+    """A dataclass field with ``default`` whose metadata declares ``rule``."""
+    return dataclasses.field(default=default, metadata={"rule": rule})
+
+
+def rules(config_class) -> dict[str, Rule]:
+    return {f.name: f.metadata["rule"] for f in dataclasses.fields(config_class)}
+
+
+def check(values: Mapping[str, Any], declarations: Mapping[str, Rule]) -> None:
+    """Raise the field error of the first declared value outside its rule."""
+    for name, rule in declarations.items():
+        value = values[name]
+        kind, noun = _TYPES[rule.type]
+        if value is None and rule.optional:
+            continue
+        if not isinstance(value, kind) or isinstance(value, bool) != (rule.type is bool):
+            raise field_error(name, noun, value)
+        if not rule.allows(value):
+            raise field_error(name, rule.text, value)
 
 
 class FormatError(ValueError):

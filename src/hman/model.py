@@ -13,7 +13,6 @@ steps with a hand-written backward.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,8 @@ from . import autodiff as ad
 from . import cell as hc
 from . import stochastic as stu
 from .autodiff import ContractError, Tensor
-from .errors import ConfigError, FormatError, field_error, require_ints
+from .errors import (POSITIVE, ConfigError, FormatError, Rule, at_least, check, declared,
+                     field_error, one_of, rules)
 
 ATTENTION_MODES = ("soft", "reinforce", "gumbel-constant", "gumbel-adaptive")
 EVAL_Z_MODES = ("deterministic", "sampled")
@@ -50,35 +50,24 @@ class ModelConfig:
     evaluation draws boundary noise or thresholds the plain sigmoid.
     """
 
-    layers: int = 3
-    hidden: int = 128   # units in every layer
-    grid_side: int = 4
-    feat_dim: int = 16
-    classes: int = 8
-    attention: str = "soft"
-    cell_hidden_tanh: bool = True
-    eval_z: str = "deterministic"
-    attention_tau: float = 0.3
-    boundary_tau: float = stu.BOUNDARY_TAU
-    force_z: float | None = None
+    layers: int = declared(3, at_least(1))
+    hidden: int = declared(128, at_least(1))   # units in every layer
+    grid_side: int = declared(4, at_least(1))
+    feat_dim: int = declared(16, at_least(1))
+    classes: int = declared(8, at_least(2))
+    attention: str = declared("soft", one_of(*ATTENTION_MODES))
+    cell_hidden_tanh: bool = declared(True, one_of(True, False))
+    eval_z: str = declared("deterministic", one_of(*EVAL_Z_MODES))
+    attention_tau: float = declared(0.3, POSITIVE)
+    boundary_tau: float = declared(stu.BOUNDARY_TAU, POSITIVE)
+    force_z: float | None = declared(
+        None, Rule(float, "0, 1 or unset", lambda v: v in (0, 1), optional=True))
 
     def validate(self) -> None:
-        require_ints(self, ("layers", "hidden", "grid_side", "feat_dim", "classes"))
+        check(vars(self), rules(ModelConfig))
         if self.layers < 2 and self.force_z is None:
-            raise ConfigError("the hierarchy needs at least 2 layers (or a forced boundary bit)")
-        if self.layers < 1:
-            raise ConfigError("layers must be positive")
-        if min(self.hidden, self.grid_side, self.feat_dim) < 1 or self.classes < 2:
-            raise ConfigError("hidden/grid_side/feat_dim must be positive and classes >= 2")
-        if self.attention not in ATTENTION_MODES:
-            raise ConfigError(f"unknown attention mode {self.attention!r}; pick one of {ATTENTION_MODES}")
-        if self.eval_z not in EVAL_Z_MODES:
-            raise ConfigError(f"unknown eval_z mode {self.eval_z!r}; pick one of {EVAL_Z_MODES}")
-        for name in ("attention_tau", "boundary_tau"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise field_error(name, "positive and finite", getattr(self, name))
-        if self.force_z is not None and self.force_z not in (0.0, 1.0):
-            raise field_error("force_z", "0, 1 or unset", self.force_z)
+            raise field_error("layers", "at least 2 layers for the hierarchy, unless "
+                              "force_z (--force-z) is set", self.layers)
 
     @property
     def locations(self) -> int:
@@ -475,26 +464,29 @@ def boundary_loss(z_logits: list[list[Tensor]], targets: np.ndarray) -> Tensor:
 # "key=value" lines, u32 LE tensor count, then per tensor: u16 LE name
 # length, name, u8 ndim, ndim u32 LE extents, raw little-endian float64.
 
-_CONFIG_FIELDS = ("layers", "hidden", "grid_side", "feat_dim", "classes", "attention",
-                  "cell_hidden_tanh", "eval_z", "attention_tau", "boundary_tau", "force_z")
-
-
 def _config_to_text(cfg: ModelConfig, extra: dict[str, str] | None) -> str:
     lines = ["format_version=1"]
-    for name in _CONFIG_FIELDS:
+    for name in rules(ModelConfig):
         value = getattr(cfg, name)
         if value is None:
             text = ""
         elif isinstance(value, bool):
             text = "1" if value else "0"
         elif isinstance(value, float):
-            text = repr(value)
+            text = repr(float(value))  # a numpy float's repr names its type
         else:
             text = str(value)
         lines.append(f"{name}={text}")
     for key, value in (extra or {}).items():
         lines.append(f"x.{key}={value}")
     return "\n".join(lines) + "\n"
+
+
+def _parse_value(rule: Rule, text: str):
+    """A config-block value as the type its field declares."""
+    if rule.optional and text == "":
+        return None
+    return text == "1" if rule.type is bool else rule.type(text)
 
 
 def _config_from_text(text: str, path) -> tuple[ModelConfig, dict[str, str]]:
@@ -511,16 +503,8 @@ def _config_from_text(text: str, path) -> tuple[ModelConfig, dict[str, str]]:
         else:
             values[key] = val
     try:
-        cfg = ModelConfig(
-            layers=int(values["layers"]), hidden=int(values["hidden"]),
-            grid_side=int(values["grid_side"]), feat_dim=int(values["feat_dim"]),
-            classes=int(values["classes"]), attention=values["attention"],
-            cell_hidden_tanh=values["cell_hidden_tanh"] == "1",
-            eval_z=values["eval_z"],
-            attention_tau=float(values["attention_tau"]),
-            boundary_tau=float(values["boundary_tau"]),
-            force_z=None if values["force_z"] == "" else float(values["force_z"]),
-        )
+        cfg = ModelConfig(**{name: _parse_value(rule, values[name])
+                             for name, rule in rules(ModelConfig).items()})
     except (KeyError, ValueError) as e:
         raise FormatError(f"{path}: bad config block ({e})") from e
     return cfg, extras

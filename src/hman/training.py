@@ -12,7 +12,6 @@ Metrics are emitted one CSV row per epoch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,8 @@ from . import autodiff as ad
 from . import model as hm
 from .autodiff import Tensor
 from .data import VideoSample
-from .errors import ConfigError, TrainingAbort, field_error, require_ints
+from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, TrainingAbort, at_least, check,
+                     declared, field_error, one_of, rules)
 
 # Adam's moment decays and denominator floor (Kingma and Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -34,32 +34,22 @@ ADAM_EPS = 1e-8
 class TrainConfig:
     """Optimization hyperparameters; defaults follow the training recipe."""
 
-    batch_size: int = 64
-    window: int = 60                 # frames per training clip
-    lr: float = 1e-4
-    lr_drop: float = 1e-5
-    lr_drop_after: int = 10_000      # iterations at the base rate
-    clip_norm: float = 5.0
-    reinforce_lambda: float = 1.0
-    frame_sampling: str = "window"   # "window": contiguous; "random": sorted subset
-    epochs: int = 30
-    seed: int = 0
+    batch_size: int = declared(64, at_least(1))
+    window: int = declared(60, at_least(1))              # frames per training clip
+    lr: float = declared(1e-4, POSITIVE)
+    lr_drop: float = declared(1e-5, POSITIVE)
+    lr_drop_after: int = declared(10_000, at_least(0))   # iterations at the base rate
+    clip_norm: float = declared(5.0, POSITIVE)
+    # 0 disables the score-function term; a negative weight would push the
+    # attention away from the reward
+    reinforce_lambda: float = declared(1.0, NON_NEGATIVE)
+    # "window": contiguous; "random": sorted subset
+    frame_sampling: str = declared("window", one_of("window", "random"))
+    epochs: int = declared(30, at_least(0))
+    seed: int = declared(0, at_least(0))
 
     def validate(self) -> None:
-        require_ints(self, ("batch_size", "window", "epochs", "lr_drop_after", "seed"))
-        for name in ("lr", "lr_drop", "clip_norm"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise field_error(name, "positive and finite", getattr(self, name))
-        if not math.isfinite(self.reinforce_lambda):
-            raise field_error("reinforce_lambda", "finite", self.reinforce_lambda)
-        if self.batch_size < 1 or self.window < 1 or self.epochs < 0:
-            raise ConfigError("batch size, window and epochs must be positive")
-        if self.frame_sampling not in ("window", "random"):
-            raise ConfigError(f"unknown frame_sampling {self.frame_sampling!r}")
-        if self.lr_drop_after < 0:
-            raise ConfigError("lr_drop_after must be non-negative")
-        if self.seed < 0:
-            raise field_error("seed", "non-negative", self.seed)
+        check(vars(self), rules(TrainConfig))
 
 
 def learning_rate(config: TrainConfig, iteration: int) -> float:
@@ -310,7 +300,7 @@ def evaluate(model: hm.HMAN, samples: list[VideoSample], block_len: int,
     and the same samples in the same order give the same report.
     """
     if block_len < 1:
-        raise ConfigError(f"block_len (--block-len) must be at least 1, got {block_len}")
+        raise field_error("block_len", "at least 1", block_len)
     rng = np.random.default_rng(hm.EVAL_NOISE_SEED)
     classes = model.config.classes
     scores = hm.score_clips(model, [split_blocks(s.features, block_len) for s in samples], rng)

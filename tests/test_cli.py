@@ -146,6 +146,7 @@ class TestTrain:
     @pytest.mark.parametrize("flag, value", [
         ("--boundary-tau", "inf"), ("--attention-tau", "nan"), ("--lr", "nan"),
         ("--lr-drop", "inf"), ("--clip-norm", "nan"), ("--reinforce-lambda", "nan"),
+        ("--reinforce-lambda", "-1"),
     ])
     def test_non_finite_value_exits_one_naming_the_flag(self, dataset, tmp_path, capsys,
                                                          flag, value):
@@ -236,6 +237,66 @@ class TestConfigFile:
         merged = json.loads((out / "run_config.json").read_text())
         assert merged["epochs"] == 1 and isinstance(merged["epochs"], int)
         assert merged["force_z"] == "0"
+
+
+COMMAND_OPTS = {"gen-synth": cli.GEN_OPTS, "train": cli.TRAIN_OPTS, "eval": cli.EVAL_OPTS,
+                "viz": cli.VIZ_OPTS, "grad-check": cli.GRAD_OPTS}
+# the values each declared option is fed; those its rule rejects are its out-of-range values
+CANDIDATES = {int: [-1, 0, 1, 2, 7], float: [-1.0, 0.0, float("nan"), float("inf"), -float("inf")],
+              str: ["foo", "0.5"]}
+
+
+def rejected_values(rule):
+    return [value for value in CANDIDATES[rule.type] if not rule.allows(value)]
+
+
+def bad_option_cases():
+    """(command, option, where, value): each out-of-range value as a flag, and a
+    bool and (for an int or string option) a fraction in a --config file."""
+    for command, table in COMMAND_OPTS.items():
+        for name, (rule, _default, _help) in table.items():
+            if rule is None:
+                continue
+            for value in rejected_values(rule):
+                yield pytest.param(command, name, "flag", value,
+                                   id=f"{command}-{name}-flag-{value}")
+            for value in [True] + ([0.5] if rule.type in (int, str) else []):
+                yield pytest.param(command, name, "config", value,
+                                   id=f"{command}-{name}-config-{value}")
+
+
+class TestDeclaredOptions:
+    def test_options_without_a_rule_are_paths_and_names(self):
+        undeclared = {name for table in COMMAND_OPTS.values()
+                      for name, (rule, _d, _h) in table.items() if rule is None}
+        assert undeclared == {"out", "data", "checkpoint", "split", "sample"}
+        assert all(rejected_values(rule) for table in COMMAND_OPTS.values()
+                   for rule, _d, _h in table.values() if rule)
+
+    @pytest.mark.parametrize("command, name, where, value", bad_option_cases())
+    def test_bad_value_exits_one_naming_the_flag(self, dataset, trained, tmp_path, capsys,
+                                                 monkeypatch, command, name, where, value):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(gc, "run_all", no_checks)
+        out = tmp_path / "o"
+        ckpt = trained / "ckpt_epoch_002.hman"
+        argv = {"gen-synth": ["--out", out], "train": ["--data", dataset, "--out", out],
+                "eval": ["--checkpoint", ckpt, "--data", dataset, "--out", out],
+                "viz": ["--checkpoint", ckpt, "--data", dataset, "--out", out],
+                "grad-check": []}[command]
+        flag = f"--{name.replace('_', '-')}"
+        if where == "flag":
+            argv += [flag, value]
+        else:
+            cfg_path = tmp_path / "f.json"
+            cfg_path.write_text(json.dumps({name: value}))
+            argv += ["--config", cfg_path]
+        assert run_cli(command, *argv) == 1
+        captured = capsys.readouterr()
+        assert f"({flag})" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestEval:

@@ -142,12 +142,23 @@ class TestSyntheticGenerator:
     def test_infeasible_spec_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
             tiny_spec(classes=1000, vocab=2, segments=1).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"seg_len_max \(--seg-len-max\)"):
             tiny_spec(seg_len_min=5, seg_len_max=4).validate()
 
     def test_negative_seed_rejected_naming_the_flag(self):
         with pytest.raises(ConfigError, match=r"seed \(--seed\) must be non-negative, got -1"):
             tiny_spec(seed=-1).validate()
+
+    @pytest.mark.parametrize("name, value, kind", [("classes", True, "an int"),
+                                                   ("segments", 2.5, "an int"),
+                                                   ("seed", 1.0, "an int"),
+                                                   ("noise", True, "a number")])
+    def test_field_of_another_type_fails_before_anything_is_written(self, tmp_path, name,
+                                                                     value, kind):
+        with pytest.raises(ConfigError, match=rf"{name} \(--{name}\) must be {kind}, "
+                                              rf"got {value!r}"):
+            hd.gen_synthetic(tiny_spec(**{name: value}), tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     def test_sequences_have_no_immediate_repeats(self, tmp_path):
         hd.gen_synthetic(tiny_spec(segments=4, seed=5), tmp_path / "d")

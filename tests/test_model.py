@@ -816,6 +816,34 @@ class TestCheckpoint:
                                               r"'attn.w_temp'\] .* byte \d+"):
             hm.load_checkpoint(path)
 
+    def test_default_config_block_is_pinned(self, tmp_path):
+        path = tmp_path / "model.hman"
+        hm.HMAN(hm.ModelConfig(), np.random.default_rng(0)).save(
+            path, extra_scalars={"iteration": "3"})
+        raw = path.read_bytes()
+        (length,) = struct.unpack_from("<I", raw, 5)
+        assert raw[9:9 + length].decode("utf-8") == (
+            "format_version=1\nlayers=3\nhidden=128\ngrid_side=4\nfeat_dim=16\nclasses=8\n"
+            "attention=soft\ncell_hidden_tanh=1\neval_z=deterministic\nattention_tau=0.3\n"
+            "boundary_tau=0.3\nforce_z=\nx.iteration=3\n")
+
+    def test_checkpoint_of_an_earlier_writer_loads_and_saves_to_its_bytes(self, tmp_path):
+        # written before the config block was derived from the field declarations
+        old = Path(__file__).parent / "data" / "flat_gumbel_adaptive.hman"
+        model, scalars = hm.load_checkpoint(old)
+        assert model.config == hm.ModelConfig(
+            layers=1, hidden=3, grid_side=2, feat_dim=2, classes=3, attention="gumbel-adaptive",
+            cell_hidden_tanh=False, eval_z="sampled", attention_tau=0.7, boundary_tau=0.45,
+            force_z=0.0)
+        assert scalars == {"iteration": "5"}
+        model.save(tmp_path / "again.hman", extra_scalars=scalars)
+        assert (tmp_path / "again.hman").read_bytes() == old.read_bytes()
+
+    def test_numpy_scalar_config_values_round_trip(self, tmp_path):
+        model = tiny_model(13, hidden=np.int64(5), attention_tau=np.float64(0.7))
+        model.save(tmp_path / "model.hman")
+        assert hm.load_checkpoint(tmp_path / "model.hman")[0].config == model.config
+
     def test_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "model.hman"
         tiny_model(16).save(path)
@@ -844,10 +872,14 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name, value", [("layers", 2.5), ("grid_side", 2.5),
                                              ("feat_dim", 3.0), ("classes", 2.5),
-                                             ("hidden", True)])
+                                             ("hidden", True), ("attention_tau", True),
+                                             ("force_z", True), ("cell_hidden_tanh", 2)])
     def test_integer_field_takes_no_float_or_bool(self, name, value):
+        # and a float field no bool, and a bool field no int
+        kind = {"attention_tau": "a number", "force_z": "a number",
+                "cell_hidden_tanh": "a bool"}.get(name, "an int")
         with pytest.raises(ConfigError, match=rf"{name} \(--{name.replace('_', '-')}\) "
-                                              "must be an int"):
+                                              f"must be {kind}"):
             hm.HMAN(tiny_config(**{name: value}))
 
     def test_numpy_integers_are_ints(self):

@@ -65,10 +65,13 @@ class TestSchedule:
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("name, value", [("batch_size", 2.5), ("window", 2.5),
                                              ("epochs", 1.5), ("lr_drop_after", 1.5),
-                                             ("seed", 0.5), ("batch_size", True)])
+                                             ("seed", 0.5), ("batch_size", True),
+                                             ("lr", True), ("clip_norm", False)])
     def test_integer_field_takes_no_float_or_bool(self, name, value):
+        # and a float field no bool
+        kind = "a number" if name in ("lr", "clip_norm") else "an int"
         with pytest.raises(ConfigError, match=rf"{name} \(--{name.replace('_', '-')}\) "
-                                              "must be an int"):
+                                              f"must be {kind}"):
             ht.TrainConfig(**{name: value}).validate()
 
     def test_negative_seed_rejected_naming_the_flag(self):
