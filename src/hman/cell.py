@@ -55,18 +55,13 @@ A step on a layer of at least ``LIVE_ROWS_MIN_HIDDEN`` units skips the
 work of COPY rows, turning skipped updates into skipped computation as
 Skip RNN does (Campos et al., arXiv 1708.06834).  Its bottom-up and
 top-down products skip the rows whose masked input is zero, where those
-are more than half.  Where fewer than half of the rows UPDATE or FLUSH:
-
-* a step that records no tape (under ``autodiff.no_grad``, or when no
-  parent requires grad) computes only what the forward reads:
-  ``_preactivation`` runs h_prev@U_rec on those rows and only the boundary
-  column on the COPY rows, and ``_state`` runs its arithmetic on those
-  rows and carries c and h of the COPY rows over;
-* a step that records a tape runs the full recurrent product and
-  ``_state`` on every row, and the backward of ``_preactivation`` runs its
-  GEMMs on those rows only.  A COPY row's adjoint of s is zero outside the
-  boundary column, so its input adjoints are rank-1 products with that
-  column, and it adds to the boundary column of U_rec's gradient only.
+are more than half.  Where fewer than half of the rows UPDATE or FLUSH,
+``step`` runs itself on those rows when it records no tape (under
+``autodiff.no_grad``, or when no input requires grad), giving each COPY
+row only the boundary column of h_prev@U_rec; when it records one, the
+backward of ``_preactivation`` runs its GEMMs on those rows, and a COPY
+row, whose adjoint of s is zero outside the boundary column, gets rank-1
+input adjoints and adds to that column of U_rec's gradient only.
 
 A product over gathered rows or one column can round differently from the
 full product, so on such a layer values and gradients agree with the dense
@@ -193,9 +188,11 @@ def _masked_matmul_grads(g: np.ndarray, live: np.ndarray | None, g_live: np.ndar
 # product) costs more than the skipped products save.  On one core of a
 # 2-core Xeon:
 # - without a tape, per pre-activation of a middle layer at B=16 with three
-#   rows in four COPYing: 50.6 -> 62.6 us at hidden 48, 78.5 -> 69.4 us at
-#   hidden 64.  With every row COPYing it pays from hidden 24; with none it
-#   adds 2-5 us at any width;
+#   rows in four COPYing (measured on a form that skipped the COPY rows of
+#   the pre-activation only, not yet re-measured for the whole step):
+#   50.6 -> 62.6 us at hidden 48, 78.5 -> 69.4 us at hidden 64.  With
+#   every row COPYing it pays from hidden 24; with none it adds 2-5 us at
+#   any width;
 # - with a tape, per step of a middle layer, forward and backward, at B=32
 #   with lower bits at 0.27 and its own at 0.074 (train-wide's layer 2):
 #   432 -> 418 us at hidden 32, 572 -> 487 us at 48, 753 -> 597 us at 64 and
@@ -212,90 +209,43 @@ def _sparse_rows(z: np.ndarray) -> np.ndarray | None:
     return rows if 2 * len(rows) < len(z) else None
 
 
-def _add_row_products(out: np.ndarray, x: np.ndarray, w: np.ndarray, z: np.ndarray) -> None:
-    """out += x @ w, given that x is zero on the rows where the (B, 1) bits z are."""
-    rows = _sparse_rows(z)
+def _add_row_products(out: np.ndarray, x: np.ndarray, w: np.ndarray,
+                      z: np.ndarray | None) -> None:
+    """out += x @ w, given that x is zero on the rows where the (B, 1) bits z
+    are; with z None, on every row."""
+    rows = None if z is None else _sparse_rows(z)
     if rows is None:
         out += x @ w
     elif len(rows):
         out[rows] += x[rows] @ w
 
 
-def _add_input_products(data: np.ndarray, below_in: np.ndarray, below_z: np.ndarray,
-                        above_in: np.ndarray | None, z_prev: np.ndarray,
-                        params: LayerParams) -> np.ndarray:
-    """data + (z_below*h_below)@W_bot + bias (+ (z_prev*h_above)@U_top), added in
-    place in that order, each product on the rows where its masked input is
-    not zero (:func:`_add_row_products`)."""
-    _add_row_products(data, below_in, params.w_bot.data, below_z)
-    data += params.bias.data
-    if above_in is not None:
-        _add_row_products(data, above_in, params.u_top.data, z_prev)
-    return data
-
-
-def _live_rows_preactivation(h_prev: np.ndarray, z_prev: np.ndarray, below_in: np.ndarray,
-                             below_z: np.ndarray, above_in: np.ndarray | None,
-                             params: LayerParams) -> np.ndarray:
-    """s without a tape, skipping the products of rows the forward does not read.
-
-    Where :func:`_sparse_rows` finds few enough, the recurrent product runs
-    on the rows that UPDATE or FLUSH, and a COPY row (z_prev = below_z = 0)
-    gets only its boundary column of h_prev@U_rec, which feeds ``z_logit``;
-    its gate columns hold the bias, a finite filler that ``_state``
-    multiplies by exact zeros.  The bottom-up and top-down products run on
-    the rows where their masked input is not zero.  The terms are added in
-    the order of the taped form.
-    """
-    u_rec = params.u_rec.data
-    live = _sparse_rows(z_prev + below_z)  # the bits are >= 0
-    if live is None:
-        data = h_prev @ u_rec
-    else:
-        data = np.zeros((len(h_prev), u_rec.shape[1]))
-        data[:, -1] = h_prev @ u_rec[:, -1]
-        if len(live):
-            data[live] = h_prev[live] @ u_rec
-    return _add_input_products(data, below_in, below_z, above_in, z_prev, params)
-
-
 def _preactivation(prev: LayerState, below_h: Tensor, below_z: Tensor,
-                   above_h: Tensor | None, params: LayerParams) -> Tensor:
+                   above_h: Tensor | None, params: LayerParams, live: np.ndarray | None,
+                   skip_rows: bool) -> Tensor:
     """The stacked (B, 4*hidden+1) pre-activation s as one tape op.
 
-    On a layer of at least ``LIVE_ROWS_MIN_HIDDEN`` units, when the op
-    records no tape node (under ``no_grad``, or when no parent requires
-    grad), s is :func:`_live_rows_preactivation`, a plain tensor that
-    agrees with the full products to rounding on every column the step
-    reads.  When it records one, the bottom-up and top-down products skip
-    the rows whose masked input is zero, and where :func:`_sparse_rows`
-    finds the rows that UPDATE or FLUSH, the backward runs its GEMMs on
-    those.  A COPY row's adjoint of s is zero outside the ``z`` column:
-    ``_state`` multiplies its gate adjoints by exact zeros there, and
-    ``_boundary`` its ``pre`` adjoint by below_z = 0.  So a COPY row gets
-    rank-1 input adjoints and adds h_prev.T @ g to the ``z`` column of
-    U_rec's gradient only.  A narrower layer runs the full products.
+    With ``skip_rows``, the bottom-up and top-down products skip the rows
+    whose masked input is zero.  Given the rows ``live`` that UPDATE or
+    FLUSH (None: every row), the backward runs its GEMMs on those.  A COPY
+    row's adjoint of s is zero outside the ``z`` column: ``_state``
+    multiplies its gate adjoints by exact zeros there, and ``_boundary`` its
+    ``pre`` adjoint by below_z = 0.  So a COPY row gets rank-1 input
+    adjoints and adds h_prev.T @ g to the ``z`` column of U_rec's gradient
+    only.
     """
     h_prev, u_rec, w_bot, bias, u_top = (prev.h, params.u_rec, params.w_bot,
                                          params.bias, params.u_top)
     below_in = below_z.data * below_h.data
     parents = [h_prev, u_rec, below_z, below_h, w_bot, bias]
+    data = h_prev.data @ u_rec.data
+    _add_row_products(data, below_in, w_bot.data, below_z.data if skip_rows else None)
+    data += bias.data
     above_in = None
     if u_top is not None:
         above_in = prev.z.data * above_h.data
         parents += [prev.z, above_h, u_top]
-    live = None
-    if params.hidden >= LIVE_ROWS_MIN_HIDDEN:
-        if not ad._records(parents):
-            return Tensor(_live_rows_preactivation(h_prev.data, prev.z.data, below_in,
-                                                   below_z.data, above_in, params))
-        live = _sparse_rows(prev.z.data + below_z.data)  # the bits are >= 0
-        data = _add_input_products(h_prev.data @ u_rec.data, below_in, below_z.data,
-                                   above_in, prev.z.data, params)
-    else:
-        data = (h_prev.data @ u_rec.data) + (below_in @ w_bot.data) + bias.data
-        if u_top is not None:
-            data = data + above_in @ u_top.data
+        _add_row_products(data, above_in, u_top.data, prev.z.data if skip_rows else None)
 
     def backward_fn(g: np.ndarray) -> None:
         rows = slice(None) if live is None else live
@@ -341,26 +291,10 @@ def _boundary(pre: Tensor, below_z: Tensor, noise_a, noise_b, tau: float,
 def _state(s: Tensor, prev: LayerState, below_z: Tensor, hidden: int,
            hidden_tanh: bool) -> Tensor:
     """The gates and the UPDATE/COPY/FLUSH multiplex as one tape op, giving c and h
-    stacked along a new first axis.
-
-    Without a tape, on a layer of at least ``LIVE_ROWS_MIN_HIDDEN`` units
-    where :func:`_sparse_rows` finds few rows that UPDATE or FLUSH, only
-    those rows run the arithmetic (this op on the gathered rows, where
-    every row is live); the COPY rows are c_prev and h_prev.
-    """
+    stacked along a new first axis."""
     n = hidden
     c_prev, h_prev, z_prev = prev.c, prev.h, prev.z
     parents = (s, c_prev, h_prev, z_prev, below_z)
-    if n >= LIVE_ROWS_MIN_HIDDEN and not ad._records(parents):
-        live = _sparse_rows(z_prev.data + below_z.data)
-        if live is not None:
-            ch = np.stack([c_prev.data, h_prev.data])
-            if len(live):
-                rows = LayerState(c=Tensor(c_prev.data[live]), h=Tensor(h_prev.data[live]),
-                                  z=Tensor(z_prev.data[live]))
-                ch[:, live] = _state(Tensor(s.data[live]), rows, Tensor(below_z.data[live]),
-                                     n, hidden_tanh).data
-            return Tensor(ch)
     gates = ad._sigmoid(s.data[:, :3 * n])  # [i | f | o]
     i, f, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
     g = np.tanh(s.data[:, 3 * n:4 * n])
@@ -432,6 +366,12 @@ def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
 
     ``hidden_tanh`` selects h = o*tanh(c); clearing it uses the literal
     h = o*c rule.
+
+    On a layer of at least ``LIVE_ROWS_MIN_HIDDEN`` units, this is where
+    the rows that UPDATE or FLUSH are found, once per step: a step without
+    a tape where they are fewer than half runs on those rows alone
+    (:func:`_skip_copy_rows`), and a taped one hands them to the backward
+    of ``_preactivation``.
     """
     hidden = params.hidden
     if below_h.shape[-1] != params.w_bot.shape[0]:
@@ -452,7 +392,16 @@ def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
                 f"above-layer state {above_h_prev.shape} does not match top-down matrix "
                 f"{params.u_top.shape}")
 
-    s = _preactivation(prev, below_h, below_z, above_h_prev, params)
+    skip_rows = hidden >= LIVE_ROWS_MIN_HIDDEN
+    live = _sparse_rows(prev.z.data + below_z.data) if skip_rows else None  # the bits are >= 0
+    if live is not None:
+        inputs = [prev.c, prev.h, prev.z, below_h, below_z, *params.tensors()]
+        if not ad._records(inputs if above_h_prev is None else inputs + [above_h_prev]):
+            return _skip_copy_rows(live, prev, below_h, below_z, above_h_prev, params, noise,
+                                   dict(tau=tau, soft_boundaries=soft_boundaries,
+                                        hidden_tanh=hidden_tanh, force_z=force_z))
+
+    s = _preactivation(prev, below_h, below_z, above_h_prev, params, live, skip_rows)
     z_pre = ad.read(s, (slice(None), slice(4 * hidden, 4 * hidden + 1)))
 
     if force_z is not None:
@@ -465,3 +414,21 @@ def step(prev: LayerState, below_h: Tensor, below_z: Tensor,
 
     ch = _state(s, prev, below_z, hidden, hidden_tanh)
     return LayerState(c=ad.read(ch, 0), h=ad.read(ch, 1), z=z, z_logit=z_pre)
+
+
+def _skip_copy_rows(live: np.ndarray, prev: LayerState, below_h: Tensor, below_z: Tensor,
+                    above_h_prev: Tensor | None, params: LayerParams,
+                    noise: np.ndarray | None, options: dict) -> LayerState:
+    """A step without a tape where only the rows ``live`` UPDATE or FLUSH: those
+    rows run :func:`step`, and each COPY row keeps c and h, gets z = 0 and only
+    its boundary logit h_prev @ U_rec[:, z] + bias[z]."""
+    z_logit = (prev.h.data @ params.u_rec.data[:, -1] + params.bias.data[0, -1])[:, None]
+    c, h, z = prev.c.data.copy(), prev.h.data.copy(), np.zeros_like(z_logit)
+    if len(live):
+        rows = [None if t is None else Tensor(t.data[live])
+                for t in (prev.c, prev.h, prev.z, below_h, below_z, above_h_prev)]
+        out = step(LayerState(*rows[:3]), *rows[3:], params,
+                   noise=None if noise is None else noise[:, live], **options)
+        for full, part in zip((c, h, z, z_logit), (out.c, out.h, out.z, out.z_logit)):
+            full[live] = part.data
+    return LayerState(c=Tensor(c), h=Tensor(h), z=Tensor(z), z_logit=Tensor(z_logit))

@@ -142,9 +142,10 @@ def _add_options(parser: argparse.ArgumentParser, table: dict) -> None:
 
 
 def _convert(typ, value):
-    """``typ(value)`` for a --config value, which JSON may give as a bool or a
-    float: a bool is no number, and an int option takes no fraction."""
-    if typ is not str and (isinstance(value, bool) or (
+    """``typ(value)`` for a --config value, which JSON may give as a bool, a
+    float or a string: a number option takes neither a bool nor a string, and
+    an int option takes no fraction."""
+    if typ is not str and (isinstance(value, (bool, str)) or (
             typ is int and isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{value!r} is not a {typ.__name__}")
     return typ(value)

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (NON_NEGATIVE, ConfigError, FormatError, at_least, check, declared,
-                     field_error, rules)
+from .errors import (NON_NEGATIVE, ConfigError, FormatError, at_least, check_fields,
+                     declared, field_error)
 
 HMFT_MAGIC = b"HMFT"
 HMFT_VERSION = 1
@@ -217,7 +217,7 @@ class SyntheticSpec:
     seed: int = declared(0, at_least(0))
 
     def validate(self) -> None:
-        check(vars(self), rules(SyntheticSpec))
+        check_fields(self)
         if self.seg_len_max < self.seg_len_min:
             raise field_error("seg_len_max", f"at least seg_len_min ({self.seg_len_min})",
                               self.seg_len_max)

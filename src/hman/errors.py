@@ -16,9 +16,10 @@ def flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def field_error(name: str, rule: str, value) -> ConfigError:
-    """The error for config field ``name``, named with the flag that sets it."""
-    return ConfigError(f"{name} ({flag(name)}) must be {rule}, got {value!r}")
+def field_error(name: str, rule: str, value, source: str | None = None) -> ConfigError:
+    """The error for config field ``name``, named with what sets it: ``source``,
+    or by default its same-named flag."""
+    return ConfigError(f"{name} ({source or flag(name)}) must be {rule}, got {value!r}")
 
 
 class Rule(NamedTuple):
@@ -47,26 +48,37 @@ def one_of(*choices) -> Rule:
     return Rule(type(choices[0]), f"{', '.join(head)} or {last}", lambda v: v in choices)
 
 
-def declared(default, rule: Rule):
-    """A dataclass field with ``default`` whose metadata declares ``rule``."""
-    return dataclasses.field(default=default, metadata={"rule": rule})
+def declared(default, rule: Rule, source: str | None = None):
+    """A dataclass field with ``default`` whose metadata declares ``rule``, and
+    ``source``, what sets the field where that is not its same-named flag."""
+    return dataclasses.field(default=default, metadata={"rule": rule, "source": source})
 
 
 def rules(config_class) -> dict[str, Rule]:
     return {f.name: f.metadata["rule"] for f in dataclasses.fields(config_class)}
 
 
-def check(values: Mapping[str, Any], declarations: Mapping[str, Rule]) -> None:
-    """Raise the field error of the first declared value outside its rule."""
+def check(values: Mapping[str, Any], declarations: Mapping[str, Rule],
+          sources: Mapping[str, str | None] | None = None) -> None:
+    """Raise the field error of the first declared value outside its rule,
+    naming the field's entry in ``sources`` if it has one."""
     for name, rule in declarations.items():
         value = values[name]
         kind, noun = _TYPES[rule.type]
+        source = (sources or {}).get(name)
         if value is None and rule.optional:
             continue
         if not isinstance(value, kind) or isinstance(value, bool) != (rule.type is bool):
-            raise field_error(name, noun, value)
+            raise field_error(name, noun, value, source)
         if not rule.allows(value):
-            raise field_error(name, rule.text, value)
+            raise field_error(name, rule.text, value, source)
+
+
+def check_fields(config) -> None:
+    """:func:`check` of a config dataclass against its declared fields."""
+    fields = dataclasses.fields(config)
+    check(vars(config), {f.name: f.metadata["rule"] for f in fields},
+          {f.name: f.metadata["source"] for f in fields})
 
 
 class FormatError(ValueError):

@@ -24,8 +24,8 @@ from . import autodiff as ad
 from . import cell as hc
 from . import stochastic as stu
 from .autodiff import ContractError, Tensor
-from .errors import (POSITIVE, ConfigError, FormatError, Rule, at_least, check, declared,
-                     field_error, one_of, rules)
+from .errors import (POSITIVE, ConfigError, FormatError, Rule, at_least, check_fields,
+                     declared, field_error, one_of, rules)
 
 ATTENTION_MODES = ("soft", "reinforce", "gumbel-constant", "gumbel-adaptive")
 EVAL_Z_MODES = ("deterministic", "sampled")
@@ -52,11 +52,11 @@ class ModelConfig:
 
     layers: int = declared(3, at_least(1))
     hidden: int = declared(128, at_least(1))   # units in every layer
-    grid_side: int = declared(4, at_least(1))
-    feat_dim: int = declared(16, at_least(1))
-    classes: int = declared(8, at_least(2))
+    grid_side: int = declared(4, at_least(1), "read from the dataset manifest")
+    feat_dim: int = declared(16, at_least(1), "read from the dataset manifest")
+    classes: int = declared(8, at_least(2), "read from the dataset manifest")
     attention: str = declared("soft", one_of(*ATTENTION_MODES))
-    cell_hidden_tanh: bool = declared(True, one_of(True, False))
+    cell_hidden_tanh: bool = declared(True, one_of(True, False), "--hidden-tanh")
     eval_z: str = declared("deterministic", one_of(*EVAL_Z_MODES))
     attention_tau: float = declared(0.3, POSITIVE)
     boundary_tau: float = declared(stu.BOUNDARY_TAU, POSITIVE)
@@ -64,7 +64,7 @@ class ModelConfig:
         None, Rule(float, "0, 1 or unset", lambda v: v in (0, 1), optional=True))
 
     def validate(self) -> None:
-        check(vars(self), rules(ModelConfig))
+        check_fields(self)
         if self.layers < 2 and self.force_z is None:
             raise field_error("layers", "at least 2 layers for the hierarchy, unless "
                               "force_z (--force-z) is set", self.layers)

@@ -21,8 +21,8 @@ from . import autodiff as ad
 from . import model as hm
 from .autodiff import Tensor
 from .data import VideoSample
-from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, TrainingAbort, at_least, check,
-                     declared, field_error, one_of, rules)
+from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, TrainingAbort, at_least,
+                     check_fields, declared, field_error, one_of)
 
 # Adam's moment decays and denominator floor (Kingma and Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -49,7 +49,7 @@ class TrainConfig:
     seed: int = declared(0, at_least(0))
 
     def validate(self) -> None:
-        check(vars(self), rules(TrainConfig))
+        check_fields(self)
 
 
 def learning_rate(config: TrainConfig, iteration: int) -> float:

@@ -689,7 +689,7 @@ class TestTapeFreeWideStep:
     only the rows that UPDATE or FLUSH, and a COPY row's boundary logit."""
 
     @pytest.mark.parametrize("copies", [8, 6, 3])
-    def test_copy_rows_carry_over_bitwise_and_the_rest_agree(self, copies):
+    def test_copy_rows_carry_over_bitwise_and_the_rest_agree(self, copies, monkeypatch):
         wide, batch = hc.LIVE_ROWS_MIN_HIDDEN, 8
         rng = np.random.default_rng(50)
         params = hc.init_layer_params(wide, below_dim=BELOW, above_dim=wide, rng=rng)
@@ -701,9 +701,27 @@ class TestTapeFreeWideStep:
         args = (prev, Tensor(rng.normal(size=(batch, BELOW))), Tensor(below_z),
                 Tensor(rng.normal(size=(batch, wide))), params)
         taped = hc.step(*args)
+        inner, step = [], hc.step
+
+        def spy(prev, below_h, below_z, above_h_prev, params, **kw):
+            inner.append([prev.c, prev.h, prev.z, below_h, below_z, above_h_prev])
+            return step(prev, below_h, below_z, above_h_prev, params, **kw)
+
+        monkeypatch.setattr(hc, "step", spy)
         with ad.no_grad():
-            free = hc.step(*args)
+            free = step(*args)
         assert taped.c.requires_grad and not free.c.requires_grad
+        # the UPDATE and FLUSH rows run an inner step where there are some and
+        # they are fewer than half; all-COPY runs none, and five live rows of
+        # eight run the ordinary step on every row
+        live = batch - copies
+        if 0 < live and 2 * live < batch:
+            [got] = inner
+            want = [prev.c, prev.h, prev.z, *args[1:4]]
+            for t, full in zip(got, want):
+                npt.assert_array_equal(t.data, full.data[copies:])
+        else:
+            assert inner == []
         npt.assert_array_equal(free.c.data[:copies], prev.c.data[:copies])
         npt.assert_array_equal(free.h.data[:copies], prev.h.data[:copies])
         npt.assert_array_equal(free.z.data, taped.z.data)

@@ -193,6 +193,17 @@ class TestTrain:
         assert f"hidden_tanh (--hidden-tanh) must be 0 or 1, got {value}" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_one_class_manifest_exits_one_naming_the_manifest(self, tmp_path, capsys):
+        # train has no --classes flag: it reads the class count from the manifest
+        data, out = tmp_path / "d", tmp_path / "o"
+        assert run_cli("gen-synth", "--out", data, "--classes", 1, "--train-per-class", 2,
+                       "--test-per-class", 0, "--grid-side", 2, "--feat-dim", 3) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--data", data, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "classes (read from the dataset manifest) must be at least 2, got 1" in err
+        assert "--classes" not in err and "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("mode", ["reinforce", "gumbel-constant", "gumbel-adaptive"])
     def test_all_attention_modes_train(self, dataset, tmp_path, mode):
         out = tmp_path / mode
@@ -251,8 +262,9 @@ def rejected_values(rule):
 
 
 def bad_option_cases():
-    """(command, option, where, value): each out-of-range value as a flag, and a
-    bool and (for an int or string option) a fraction in a --config file."""
+    """(command, option, where, value): each out-of-range value as a flag, and in
+    a --config file a bool, (for an int or string option) a fraction and (for a
+    number option) a string that reads as a number."""
     for command, table in COMMAND_OPTS.items():
         for name, (rule, _default, _help) in table.items():
             if rule is None:
@@ -260,7 +272,8 @@ def bad_option_cases():
             for value in rejected_values(rule):
                 yield pytest.param(command, name, "flag", value,
                                    id=f"{command}-{name}-flag-{value}")
-            for value in [True] + ([0.5] if rule.type in (int, str) else []):
+            for value in [True] + ([0.5] if rule.type in (int, str) else []) \
+                    + (["1"] if rule.type in (int, float) else []):
                 yield pytest.param(command, name, "config", value,
                                    id=f"{command}-{name}-config-{value}")
 

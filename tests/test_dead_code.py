@@ -26,14 +26,17 @@ ALLOWED: set[tuple[str, str]] = {
     ("autodiff", "transpose"),
 }
 
-# Spellings of the rules that the fused ops share with the tape primitives;
-# each may appear only in the (module, kernel) that owns it.
+# Spellings of the rules that the fused ops share with the tape primitives,
+# and of the cell step's live-row decision; each may appear only in the
+# (module, function) that owns it.
 KERNEL_SPELLINGS = {
     ("autodiff", "_sigmoid"):
         re.compile(r"tanh\(\s*0?\.5\s*\*|1\.?0?\s*/\s*\(\s*1\.?0?\s*\+\s*np\.exp\(\s*-"),
     ("autodiff", "_softmax"): re.compile(r"-\s*(np\.a?max\(|[A-Za-z_][\w.]*\.max\()"),
     # the location scores h1_prev @ w_locᵀ
     ("attention", "_scores"): re.compile(r"@\s*np\.ascontiguousarray\(\s*[\w.]+\.T\s*\)"),
+    # the rows that UPDATE or FLUSH, from the own bit at t-1 and the bit below
+    ("cell", "step"): re.compile(r"_sparse_rows\(\s*[\w.]+\s*\+\s*[\w.]+\s*\)"),
 }
 
 

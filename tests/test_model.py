@@ -620,16 +620,25 @@ class TestTapeFreeWideEvaluation:
 
     def test_only_a_wide_forward_without_a_tape_skips_rows(self, monkeypatch):
         calls = []
-        skipping = hc._live_rows_preactivation
+        skipping = hc._skip_copy_rows
 
-        def counting(*args):
-            calls.append(args[0].shape)
-            return skipping(*args)
+        def counting(live, prev, *args):
+            calls.append((prev.h.shape, len(live)))
+            return skipping(live, prev, *args)
 
-        monkeypatch.setattr(hc, "_live_rows_preactivation", counting)
+        monkeypatch.setattr(hc, "_skip_copy_rows", counting)
         x = np.random.default_rng(42).normal(size=(4, 5, K2, FEAT))
-        taped_and_tape_free(wide_model(), x)
-        assert calls == [(4, WIDE)] * 15  # once per layer step, without the tape only
+        model = wide_model()
+        taped = model.forward_batch(x, rng=np.random.default_rng(0), train=False)
+        assert calls == []
+        with ad.no_grad():
+            model.forward_batch(x, rng=np.random.default_rng(0), train=False)
+        # once per layer step where fewer than half of the rows UPDATE or
+        # FLUSH: 4 of the 15 layer steps here, one of them all-COPY
+        update, _, flush = branch_rows(taped)
+        live = (update + flush).ravel()  # step-major, as the forward runs
+        assert calls == [((4, WIDE), n) for n in live if 2 * n < 4]
+        assert sorted(n for _, n in calls) == [0, 1, 1, 1]
         calls.clear()
         narrow = hm.HMAN(tiny_config(layers=3, hidden=WIDE - 1), np.random.default_rng(40))
         taped, free = taped_and_tape_free(narrow, x)
@@ -878,8 +887,11 @@ class TestConfigValidation:
         # and a float field no bool, and a bool field no int
         kind = {"attention_tau": "a number", "force_z": "a number",
                 "cell_hidden_tanh": "a bool"}.get(name, "an int")
-        with pytest.raises(ConfigError, match=rf"{name} \(--{name.replace('_', '-')}\) "
-                                              f"must be {kind}"):
+        source = {"grid_side": "read from the dataset manifest",
+                  "feat_dim": "read from the dataset manifest",
+                  "classes": "read from the dataset manifest",
+                  "cell_hidden_tanh": "--hidden-tanh"}.get(name, f"--{name.replace('_', '-')}")
+        with pytest.raises(ConfigError, match=rf"{name} \({source}\) must be {kind}"):
             hm.HMAN(tiny_config(**{name: value}))
 
     def test_numpy_integers_are_ints(self):
